@@ -107,22 +107,6 @@ void AdcpSwitch::load_program(AdcpProgram program) {
   }
 }
 
-AdcpSwitch::FastSlot* AdcpSwitch::fast_acquire() {
-  if (fast_free_.empty()) {
-    fast_slots_.push_back(std::make_unique<FastSlot>());
-    return fast_slots_.back().get();
-  }
-  FastSlot* slot = fast_free_.back();
-  fast_free_.pop_back();
-  return slot;
-}
-
-void AdcpSwitch::fast_release(FastSlot* slot) {
-  slot->egress = packet::kInvalidPort;
-  slot->pipe = 0;
-  fast_free_.push_back(slot);
-}
-
 void AdcpSwitch::set_multicast_group(std::uint32_t group, std::vector<packet::PortId> ports) {
   multicast_[group] = std::move(ports);
 }
@@ -154,13 +138,13 @@ void AdcpSwitch::inject(packet::PortId port, packet::Packet pkt) {
   spans_.span(sim::SpanKind::kRx, pkt.meta.trace_id, start, free, port, pkt.size());
   // [this, pkt, edge_pipe] is one word over the inline-closure budget and
   // would heap-spill per packet; park the packet in a pooled slot instead.
-  FastSlot* f = fast_acquire();
+  FastSlot* f = fast_slots_.acquire();
   f->pkt = std::move(pkt);
   f->pipe = edge_pipe;
   sim_->at(free, [this, f] {
     packet::Packet p = std::move(f->pkt);
     const std::uint32_t pipe = f->pipe;
-    fast_release(f);
+    fast_slots_.release(f);
     enter_ingress(std::move(p), pipe);
   });
 }
@@ -173,7 +157,7 @@ bool AdcpSwitch::try_fast_ingress(packet::Packet& pkt, std::uint32_t edge_pipe) 
       ingress.advance(sim_->now(), ingress_site_.timing.cycles,
                       ingress_site_.timing.max_service, ingress_site_.timing.stall_cycles);
   spans_.span(sim::SpanKind::kIngress, pkt.meta.trace_id, sim_->now(), tr.exit, edge_pipe);
-  FastSlot* f = fast_acquire();
+  FastSlot* f = fast_slots_.acquire();
   f->pkt = std::move(pkt);
   f->wire = w;
   sim_->at(tr.exit, [this, f] { after_ingress_fast(f); });
@@ -183,21 +167,8 @@ bool AdcpSwitch::try_fast_ingress(packet::Packet& pkt, std::uint32_t edge_pipe) 
 void AdcpSwitch::after_ingress_fast(FastSlot* f) {
   packet::Packet out = fastpath::copy_patch(pool_, std::move(f->pkt), f->wire,
                                             fastpath::Patch::kPassthrough);
-  fast_release(f);
-  const std::uint32_t cp = placement_(out) % config_.central_pipeline_count;
-  const std::uint64_t trace_id = out.meta.trace_id;
-  out.meta.trace_mark = sim_->now();  // TM1 residency span begins here
-  if (tap_ != nullptr && !tm1_->buffer().admits(cp, out.size())) {
-    tap_->on_drop(out, sim::DropReason::kAdmission, sim_->now());
-  }
-  if (!tm1_->enqueue(cp, 0, std::move(out))) {
-    spans_.instant(sim::SpanKind::kDrop, trace_id, sim_->now(),
-                   static_cast<std::uint64_t>(sim::DropReason::kAdmission), cp);
-  } else {
-    spans_.instant(sim::SpanKind::kTmEnqueue, trace_id, sim_->now(),
-                   tm1_->output_packets(cp), cp);
-  }
-  try_drain_central(cp);
+  fast_slots_.release(f);
+  enqueue_central(std::move(out));
 }
 
 bool AdcpSwitch::try_fast_central(packet::Packet& pkt, std::uint32_t cp) {
@@ -231,7 +202,7 @@ bool AdcpSwitch::try_fast_central(packet::Packet& pkt, std::uint32_t cp) {
   const pipeline::Transit tr = central.advance(
       sim_->now(), e->timing.cycles, e->timing.max_service, e->timing.stall_cycles);
   spans_.span(sim::SpanKind::kCentral, pkt.meta.trace_id, sim_->now(), tr.exit, cp);
-  FastSlot* f = fast_acquire();
+  FastSlot* f = fast_slots_.acquire();
   f->pkt = std::move(pkt);
   f->wire = w;
   f->egress = egress;
@@ -244,7 +215,7 @@ void AdcpSwitch::after_central_fast(FastSlot* f) {
   packet::Packet out =
       fastpath::copy_patch(pool_, std::move(f->pkt), f->wire, f->patch);
   const packet::PortId egress = f->egress;
-  fast_release(f);
+  fast_slots_.release(f);
   out.meta.egress_port = egress;
   route_to_egress(std::move(out));
 }
@@ -259,46 +230,23 @@ bool AdcpSwitch::try_fast_egress(packet::Packet& pkt, std::uint32_t edge_pipe) {
                      egress_site_.timing.max_service, egress_site_.timing.stall_cycles);
   spans_.span(sim::SpanKind::kEgress, pkt.meta.trace_id, sim_->now(), tr.exit, edge_pipe,
               port);
-  FastSlot* f = fast_acquire();
+  FastSlot* f = fast_slots_.acquire();
   f->pkt = std::move(pkt);
   f->wire = w;
-  f->pipe = edge_pipe;
   sim_->at(tr.exit, [this, f] { after_egress_fast(f); });
   return true;
 }
 
 void AdcpSwitch::after_egress_fast(FastSlot* f) {
-  const std::uint32_t port = config_.port_of_edge_pipe(f->pipe);
   packet::Packet out = fastpath::copy_patch(pool_, std::move(f->pkt), f->wire,
                                             fastpath::Patch::kPassthrough);
-  fast_release(f);
-
-  // m:1 mux back onto the port, exactly as after_egress does. The port
-  // rides in the packet metadata: {this, Packet} fills the inline callback
-  // capacity exactly, so one more captured word would heap-spill.
-  ++in_flight_[port];
-  sim::Time& free = tx_free_[port];
-  const sim::Time start = std::max(sim_->now(), free);
-  // Tap before sizing the TX window (it may append INT trailer bytes).
-  if (tap_ != nullptr) tap_->at_tx(out, start, port);
-  free = start + sim::serialization_time(out.size(), config_.port_gbps);
-  spans_.span(sim::SpanKind::kTx, out.meta.trace_id, start, free, port, out.size());
-  sim_->at(free, [this, out = std::move(out)]() mutable {
-    const packet::PortId port = out.meta.egress_port;
-    metrics_.tx_packets.add();
-    metrics_.tx_bytes.add(out.size());
-    if (first_tx_ == 0) first_tx_ = sim_->now();
-    last_tx_ = sim_->now();
-    --in_flight_[port];
-    if (tx_handler_) tx_handler_(port, std::move(out));
-    kick_port_egress(port);
-  });
+  fast_slots_.release(f);
+  transmit(std::move(out));
 }
 
-void AdcpSwitch::fill_fastpath(const packet::Packet& original, const packet::Phv& phv,
-                               const pipeline::Transit& tr, packet::PortId egress) {
+void AdcpSwitch::fill_fastpath(const TransitSlot* t, packet::PortId egress) {
   fastpath::WireView w;
-  if (!fastpath::inspect(original, contract_.parse_max_elems, w)) return;
+  if (!fastpath::inspect(t->pkt, contract_.parse_max_elems, w)) return;
   if (w.ttl < 2) return;
   const bool query =
       contract_.store != nullptr &&
@@ -311,38 +259,37 @@ void AdcpSwitch::fill_fastpath(const packet::Packet& original, const packet::Phv
   bool served_branch = false;
   if (query) {
     served = contract_.route(w.ip_src, w.ip_dst, w.udp_src, w.udp_dst);
-    served_branch = phv.get_or(packet::fields::kIncOpcode, 0) ==
+    served_branch = t->pr.phv.get_or(packet::fields::kIncOpcode, 0) ==
                     static_cast<std::uint64_t>(packet::IncOpcode::kChurnHit);
   }
   if ((served_branch ? served : forward) != egress) return;
-  fast_->fill(w, original.meta.ingress_port, query, forward, served,
-              {tr.cycles, tr.max_service, tr.stall_cycles, 0});
+  fast_->fill(w, t->pkt.meta.ingress_port, query, forward, served,
+              {t->tr.cycles, t->tr.max_service, t->tr.stall_cycles, 0});
 }
 
 void AdcpSwitch::enter_ingress(packet::Packet pkt, std::uint32_t edge_pipe) {
   if (fast_ && ingress_site_.valid && try_fast_ingress(pkt, edge_pipe)) return;
-  packet::ParseResult& pr = scratch_parse_;
-  parser_->parse_into(pkt, pr);
-  if (!pr.accepted) {
+  TransitSlot* t = transit_.acquire();
+  parser_->parse_into(pkt, t->pr);
+  if (!t->pr.accepted) {
     metrics_.parse_drops.add();
     spans_.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kParse));
     if (tap_ != nullptr) tap_->on_drop(pkt, sim::DropReason::kParse, sim_->now());
     pool_.release(std::move(pkt));
+    transit_.release(t);
     return;
   }
   pipeline::Pipeline& ingress = ingress_pipes_[edge_pipe];
-  const pipeline::Transit tr = ingress.process(sim_->now(), pr.phv);
+  const pipeline::Transit tr = ingress.process(sim_->now(), t->pr.phv);
   // Edge stages carry no program under the passthrough contract; one
   // measured transit is the timing template for every later packet.
   if (fast_ && contract_.passthrough_edges && !ingress_site_.valid) {
     ingress_site_ = {true, {tr.cycles, tr.max_service, tr.stall_cycles, 0}};
   }
   spans_.span(sim::SpanKind::kIngress, pkt.meta.trace_id, sim_->now(), tr.exit, edge_pipe);
-  sim_->at(tr.exit, [this, phv = std::move(pr.phv), pkt = std::move(pkt),
-                     consumed = pr.consumed]() mutable {
-    after_ingress(std::move(phv), std::move(pkt), consumed);
-  });
+  t->pkt = std::move(pkt);
+  sim_->at(tr.exit, [this, t] { after_ingress(t); });
 }
 
 packet::Packet AdcpSwitch::finalize(const packet::Phv& phv, packet::Packet original,
@@ -354,25 +301,30 @@ packet::Packet AdcpSwitch::finalize(const packet::Phv& phv, packet::Packet origi
   return out;
 }
 
-void AdcpSwitch::after_ingress(packet::Phv phv, packet::Packet original, std::size_t consumed) {
-  if (phv.get_or(packet::fields::kMetaDrop, 0) != 0) {
+void AdcpSwitch::after_ingress(TransitSlot* t) {
+  if (t->pr.phv.get_or(packet::fields::kMetaDrop, 0) != 0) {
     metrics_.program_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, original.meta.trace_id, sim_->now(),
+    spans_.instant(sim::SpanKind::kDrop, t->pkt.meta.trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kProgram));
-    if (tap_ != nullptr) tap_->on_drop(original, sim::DropReason::kProgram, sim_->now());
-    pool_.release(std::move(original));
+    if (tap_ != nullptr) tap_->on_drop(t->pkt, sim::DropReason::kProgram, sim_->now());
+    pool_.release(std::move(t->pkt));
+    transit_.release(t);
     return;
   }
-  packet::Packet out = finalize(phv, std::move(original), consumed);
+  packet::Packet out = finalize(t->pr.phv, std::move(t->pkt), t->pr.consumed);
+  transit_.release(t);
+  enqueue_central(std::move(out));
+}
 
+void AdcpSwitch::enqueue_central(packet::Packet pkt) {
   // TM1: application-defined placement over the global partitioned area.
-  const std::uint32_t cp = placement_(out) % config_.central_pipeline_count;
-  const std::uint64_t trace_id = out.meta.trace_id;
-  out.meta.trace_mark = sim_->now();  // TM1 residency span begins here
-  if (tap_ != nullptr && !tm1_->buffer().admits(cp, out.size())) {
-    tap_->on_drop(out, sim::DropReason::kAdmission, sim_->now());
+  const std::uint32_t cp = placement_(pkt) % config_.central_pipeline_count;
+  const std::uint64_t trace_id = pkt.meta.trace_id;
+  pkt.meta.trace_mark = sim_->now();  // TM1 residency span begins here
+  if (tap_ != nullptr && !tm1_->buffer().admits(cp, pkt.size())) {
+    tap_->on_drop(pkt, sim::DropReason::kAdmission, sim_->now());
   }
-  if (!tm1_->enqueue(cp, 0, std::move(out))) {
+  if (!tm1_->enqueue(cp, 0, std::move(pkt))) {
     spans_.instant(sim::SpanKind::kDrop, trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kAdmission), cp);
   } else {
@@ -406,26 +358,26 @@ void AdcpSwitch::drain_central(std::uint32_t cp) {
     return;
   }
 
-  packet::ParseResult& pr = scratch_parse_;
-  parser_->parse_into(*pkt, pr);
-  if (!pr.accepted) {
+  TransitSlot* t = transit_.acquire();
+  parser_->parse_into(*pkt, t->pr);
+  if (!t->pr.accepted) {
     metrics_.parse_drops.add();
     spans_.instant(sim::SpanKind::kDrop, pkt->meta.trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kParse));
     if (tap_ != nullptr) tap_->on_drop(*pkt, sim::DropReason::kParse, sim_->now());
     pool_.release(std::move(*pkt));
+    transit_.release(t);
     try_drain_central(cp);
     return;
   }
-  pr.phv.set(packet::fields::kMetaCentralPipe, cp);
+  t->pr.phv.set(packet::fields::kMetaCentralPipe, cp);
 
   pipeline::Pipeline& central = central_pipes_[cp];
-  const pipeline::Transit tr = central.process(sim_->now(), pr.phv);
+  const pipeline::Transit tr = central.process(sim_->now(), t->pr.phv);
   spans_.span(sim::SpanKind::kCentral, pkt->meta.trace_id, sim_->now(), tr.exit, cp);
-  sim_->at(tr.exit, [this, phv = std::move(pr.phv), pkt = std::move(*pkt),
-                     consumed = pr.consumed, cp, tr]() mutable {
-    after_central(std::move(phv), std::move(pkt), consumed, cp, tr);
-  });
+  t->pkt = std::move(*pkt);
+  t->tr = tr;
+  sim_->at(tr.exit, [this, t] { after_central(t); });
 
   if (tm1_->output_packets(cp) > 0) {
     central_pending_[cp] = true;
@@ -433,15 +385,15 @@ void AdcpSwitch::drain_central(std::uint32_t cp) {
   }
 }
 
-void AdcpSwitch::after_central(packet::Phv phv, packet::Packet original, std::size_t consumed,
-                               std::uint32_t cp, pipeline::Transit tr) {
-  (void)cp;
+void AdcpSwitch::after_central(TransitSlot* t) {
+  const packet::Phv& phv = t->pr.phv;
   if (phv.get_or(packet::fields::kMetaDrop, 0) != 0) {
     metrics_.program_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, original.meta.trace_id, sim_->now(),
+    spans_.instant(sim::SpanKind::kDrop, t->pkt.meta.trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kProgram));
-    if (tap_ != nullptr) tap_->on_drop(original, sim::DropReason::kProgram, sim_->now());
-    pool_.release(std::move(original));
+    if (tap_ != nullptr) tap_->on_drop(t->pkt, sim::DropReason::kProgram, sim_->now());
+    pool_.release(std::move(t->pkt));
+    transit_.release(t);
     return;
   }
   const std::uint64_t group = phv.get_or(packet::fields::kMetaMulticastGroup, 0);
@@ -449,9 +401,10 @@ void AdcpSwitch::after_central(packet::Phv phv, packet::Packet original, std::si
                                                 packet::kInvalidPort);
   // Memoize unicast forward verdicts while the original bytes are intact.
   if (fast_ && group == 0 && egress_field < config_.port_count) {
-    fill_fastpath(original, phv, tr, static_cast<packet::PortId>(egress_field));
+    fill_fastpath(t, static_cast<packet::PortId>(egress_field));
   }
-  packet::Packet out = finalize(phv, std::move(original), consumed);
+  packet::Packet out = finalize(phv, std::move(t->pkt), t->pr.consumed);
+  transit_.release(t);
 
   if (group != 0) {
     const auto it = multicast_.find(static_cast<std::uint32_t>(group));
@@ -553,30 +506,30 @@ void AdcpSwitch::drain_egress(std::uint32_t edge_pipe) {
     return;
   }
 
-  packet::ParseResult& pr = scratch_parse_;
-  parser_->parse_into(*pkt, pr);
-  if (!pr.accepted) {
+  TransitSlot* t = transit_.acquire();
+  parser_->parse_into(*pkt, t->pr);
+  if (!t->pr.accepted) {
     metrics_.parse_drops.add();
     spans_.instant(sim::SpanKind::kDrop, pkt->meta.trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kParse));
     if (tap_ != nullptr) tap_->on_drop(*pkt, sim::DropReason::kParse, sim_->now());
     pool_.release(std::move(*pkt));
+    transit_.release(t);
     try_drain_egress(edge_pipe);
     return;
   }
-  pr.phv.set(packet::fields::kMetaEgressPort, pkt->meta.egress_port);
+  t->pr.phv.set(packet::fields::kMetaEgressPort, pkt->meta.egress_port);
 
   pipeline::Pipeline& egress = egress_pipes_[edge_pipe];
-  const pipeline::Transit tr = egress.process(sim_->now(), pr.phv);
+  const pipeline::Transit tr = egress.process(sim_->now(), t->pr.phv);
   if (fast_ && contract_.passthrough_edges && !egress_site_.valid) {
     egress_site_ = {true, {tr.cycles, tr.max_service, tr.stall_cycles, 0}};
   }
   spans_.span(sim::SpanKind::kEgress, pkt->meta.trace_id, sim_->now(), tr.exit, edge_pipe,
               port);
-  sim_->at(tr.exit, [this, phv = std::move(pr.phv), pkt = std::move(*pkt),
-                     consumed = pr.consumed, edge_pipe]() mutable {
-    after_egress(std::move(phv), std::move(pkt), consumed, edge_pipe);
-  });
+  t->pkt = std::move(*pkt);
+  t->pipe = edge_pipe;
+  sim_->at(tr.exit, [this, t] { after_egress(t); });
 
   if (tm2_->output_packets(edge_pipe) > 0) {
     egress_pending_[edge_pipe] = true;
@@ -585,36 +538,45 @@ void AdcpSwitch::drain_egress(std::uint32_t edge_pipe) {
   }
 }
 
-void AdcpSwitch::after_egress(packet::Phv phv, packet::Packet original, std::size_t consumed,
-                              std::uint32_t edge_pipe) {
-  const std::uint32_t port = config_.port_of_edge_pipe(edge_pipe);
-  if (phv.get_or(packet::fields::kMetaDrop, 0) != 0) {
+void AdcpSwitch::after_egress(TransitSlot* t) {
+  const std::uint32_t port = config_.port_of_edge_pipe(t->pipe);
+  if (t->pr.phv.get_or(packet::fields::kMetaDrop, 0) != 0) {
     metrics_.program_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, original.meta.trace_id, sim_->now(),
+    spans_.instant(sim::SpanKind::kDrop, t->pkt.meta.trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kProgram));
-    if (tap_ != nullptr) tap_->on_drop(original, sim::DropReason::kProgram, sim_->now());
-    pool_.release(std::move(original));
+    if (tap_ != nullptr) tap_->on_drop(t->pkt, sim::DropReason::kProgram, sim_->now());
+    pool_.release(std::move(t->pkt));
+    transit_.release(t);
     kick_port_egress(port);
     return;
   }
-  packet::Packet out = finalize(phv, std::move(original), consumed);
+  packet::Packet out = finalize(t->pr.phv, std::move(t->pkt), t->pr.consumed);
+  transit_.release(t);
+  out.meta.egress_port = port;
+  transmit(std::move(out));
+}
 
-  // m:1 mux back onto the port: TX serialization at full port rate. The
-  // packet occupies the small egress FIFO from pipe exit to TX completion.
+void AdcpSwitch::transmit(packet::Packet pkt) {
+  // The packet occupies the small egress FIFO from pipe exit to TX
+  // completion. The port rides in the packet metadata: {this, Packet}
+  // fills the inline callback capacity exactly, so one more captured word
+  // would heap-spill.
+  const packet::PortId port = pkt.meta.egress_port;
   ++in_flight_[port];
   sim::Time& free = tx_free_[port];
   const sim::Time start = std::max(sim_->now(), free);
   // Tap before sizing the TX window (it may append INT trailer bytes).
-  if (tap_ != nullptr) tap_->at_tx(out, start, port);
-  free = start + sim::serialization_time(out.size(), config_.port_gbps);
-  spans_.span(sim::SpanKind::kTx, out.meta.trace_id, start, free, port, out.size());
-  sim_->at(free, [this, out = std::move(out), port, edge_pipe]() mutable {
+  if (tap_ != nullptr) tap_->at_tx(pkt, start, port);
+  free = start + sim::serialization_time(pkt.size(), config_.port_gbps);
+  spans_.span(sim::SpanKind::kTx, pkt.meta.trace_id, start, free, port, pkt.size());
+  sim_->at(free, [this, pkt = std::move(pkt)]() mutable {
+    const packet::PortId port = pkt.meta.egress_port;
     metrics_.tx_packets.add();
-    metrics_.tx_bytes.add(out.size());
+    metrics_.tx_bytes.add(pkt.size());
     if (first_tx_ == 0) first_tx_ = sim_->now();
     last_tx_ = sim_->now();
     --in_flight_[port];
-    if (tx_handler_) tx_handler_(port, std::move(out));
+    if (tx_handler_) tx_handler_(port, std::move(pkt));
     kick_port_egress(port);
   });
 }

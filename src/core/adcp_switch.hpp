@@ -23,6 +23,7 @@
 #include "packet/pool.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_pool.hpp"
 #include "tm/traffic_manager.hpp"
 
 namespace adcp::core {
@@ -142,17 +143,25 @@ class AdcpSwitch final : public net::SwitchDevice {
   }
 
  private:
+  /// Per-packet pipeline-transit state, pooled and handed to scheduler
+  /// continuations by pointer: a Phv is far larger than the inline callback
+  /// capacity, so capturing it by value would heap-spill every packet.
+  struct TransitSlot {
+    packet::ParseResult pr;
+    packet::Packet pkt;
+    std::uint32_t pipe = 0;  ///< edge egress pipe (egress continuation)
+    pipeline::Transit tr;    ///< central transit, kept for fast-path fills
+  };
+
   /// Fast-path continuation state, pooled ({this, Packet} alone fills the
   /// inline callback capacity, so the wire view and verdict ride here).
   struct FastSlot {
     packet::Packet pkt;
     fastpath::WireView wire;
     packet::PortId egress = packet::kInvalidPort;
-    std::uint32_t pipe = 0;  ///< central pipe or edge pipe, site-dependent
+    std::uint32_t pipe = 0;  ///< edge ingress pipe (RX continuation)
     fastpath::Patch patch = fastpath::Patch::kForward;
   };
-  FastSlot* fast_acquire();
-  void fast_release(FastSlot* slot);
 
   /// Static edge-ingress passthrough (contract.passthrough_edges).
   bool try_fast_ingress(packet::Packet& pkt, std::uint32_t edge_pipe);
@@ -166,25 +175,27 @@ class AdcpSwitch final : public net::SwitchDevice {
   void after_egress_fast(FastSlot* f);
   /// Memoizes a slow-path central verdict (called before finalize so the
   /// original wire bytes are still available).
-  void fill_fastpath(const packet::Packet& original, const packet::Phv& phv,
-                     const pipeline::Transit& tr, packet::PortId egress);
+  void fill_fastpath(const TransitSlot* t, packet::PortId egress);
 
   void enter_ingress(packet::Packet pkt, std::uint32_t edge_pipe);
   /// Deparse-or-passthrough: INC packets are rebuilt from the PHV into a
   /// pooled packet and the original is retired; others pass through.
   packet::Packet finalize(const packet::Phv& phv, packet::Packet original,
                           std::size_t consumed);
-  void after_ingress(packet::Phv phv, packet::Packet original, std::size_t consumed);
+  void after_ingress(TransitSlot* t);
+  /// TM1 admission of a packet leaving the edge ingress pipeline.
+  void enqueue_central(packet::Packet pkt);
   void try_drain_central(std::uint32_t cp);
   void drain_central(std::uint32_t cp);
-  void after_central(packet::Phv phv, packet::Packet original, std::size_t consumed,
-                     std::uint32_t cp, pipeline::Transit tr);
+  void after_central(TransitSlot* t);
   void route_to_egress(packet::Packet pkt);
   void kick_port_egress(std::uint32_t port);
   void try_drain_egress(std::uint32_t edge_pipe);
   void drain_egress(std::uint32_t edge_pipe);
-  void after_egress(packet::Phv phv, packet::Packet original, std::size_t consumed,
-                    std::uint32_t edge_pipe);
+  void after_egress(TransitSlot* t);
+  /// m:1 mux back onto pkt.meta.egress_port: TX serialization at full
+  /// port rate, then the TX handler.
+  void transmit(packet::Packet pkt);
 
   sim::Simulator* sim_;
   AdcpConfig config_;
@@ -194,9 +205,8 @@ class AdcpSwitch final : public net::SwitchDevice {
   AdcpMetrics metrics_;
   sim::SpanRecorder spans_;
   packet::Pool pool_;
-  packet::ParseResult scratch_parse_;  ///< reused by the re-parse sites
-  std::vector<std::unique_ptr<FastSlot>> fast_slots_;  ///< owns every slot
-  std::vector<FastSlot*> fast_free_;                   ///< warm free list
+  sim::SlotPool<TransitSlot> transit_;
+  sim::SlotPool<FastSlot> fast_slots_;
   fastpath::FastpathContract contract_;
   std::optional<fastpath::FlowCache> fast_;  ///< armed by load_program
   fastpath::StaticSite ingress_site_;        ///< measured edge passthrough

@@ -1,6 +1,7 @@
 #include "net/host.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace adcp::net {
@@ -81,9 +82,9 @@ void Host::finish_rx(packet::Packet pkt) {
     metrics_.rx_ecn_marked.add();
   }
 
-  packet::IncHeader inc;
-  if (packet::decode_inc(pkt, inc)) {
-    metrics_.rx_goodput_bytes.add(inc.elements.size() * packet::kIncElementBytes);
+  packet::IncHeader inc;  // header fields only: the elements stay unread
+  if (const std::optional<std::size_t> elems = packet::decode_inc_fixed(pkt, inc)) {
+    metrics_.rx_goodput_bytes.add(*elems * packet::kIncElementBytes);
     auto& highest = highest_seq_[inc.flow_id];
     if (inc.seq < highest) {
       metrics_.rx_reordered.add();

@@ -23,6 +23,12 @@ std::string opcode_name(std::uint8_t opcode) {
     case IncOpcode::kAck: return "Ack";
     case IncOpcode::kPropose: return "Propose";
     case IncOpcode::kOrdered: return "Ordered";
+    case IncOpcode::kCtrlUpdate: return "CtrlUpdate";
+    case IncOpcode::kChurnQuery: return "ChurnQuery";
+    case IncOpcode::kChurnHit: return "ChurnHit";
+    case IncOpcode::kChurnMiss: return "ChurnMiss";
+    case IncOpcode::kTelemReport: return "TelemReport";
+    case IncOpcode::kTelemPostcard: return "TelemPostcard";
   }
   return "op" + std::to_string(opcode);
 }

@@ -15,7 +15,9 @@
 //   16      k*8    k elements of (u32 key, u32 value)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "packet/packet.hpp"
@@ -121,6 +123,11 @@ void make_inc_packet_into(const IncPacketSpec& spec, Packet& pkt);
 /// Decodes the INC header from a full packet; returns false when the packet
 /// is not INC (wrong ethertype/proto/port) or is truncated.
 bool decode_inc(const Packet& pkt, IncHeader& out);
+
+/// decode_inc without the elements: fills every other field of `out`,
+/// leaves out.elements untouched and returns the element count. Rejects
+/// exactly the packets decode_inc rejects (nullopt) and never allocates.
+std::optional<std::size_t> decode_inc_fixed(const Packet& pkt, IncHeader& out);
 
 /// Re-serializes PHV fields back into `pkt` (the inverse of the standard
 /// parse): scalar INC fields and the key/value arrays are written into the

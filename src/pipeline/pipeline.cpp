@@ -8,11 +8,8 @@ namespace adcp::pipeline {
 Pipeline::Pipeline(const PipelineConfig& config)
     : config_(config), period_(sim::period_from_ghz(config.clock_ghz)) {
   stages_.reserve(config.stage_count);
-  programs_.reserve(config.stage_count);
-  for (std::uint32_t i = 0; i < config.stage_count; ++i) {
-    stages_.emplace_back(i, config.stage);
-    programs_.push_back(default_stage_program());
-  }
+  for (std::uint32_t i = 0; i < config.stage_count; ++i) stages_.emplace_back(i, config.stage);
+  programs_.resize(config.stage_count);  // empty: the default program
 }
 
 void Pipeline::set_stage_program(std::uint32_t index, StageProgram program) {
@@ -30,7 +27,14 @@ Transit Pipeline::process(sim::Time now, packet::Phv& phv) {
   std::uint64_t latency_cycles = 0;
   std::uint64_t max_service = 1;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const std::uint64_t service = std::max<std::uint64_t>(1, programs_[i](phv, stages_[i]));
+    // Most stages run no program of their own; call the default directly
+    // rather than through a std::function.
+    std::uint64_t service = 1;
+    if (programs_[i]) {
+      service = std::max<std::uint64_t>(1, programs_[i](phv, stages_[i]));
+    } else {
+      stages_[i].run_maus(phv);
+    }
     latency_cycles += service;
     max_service = std::max(max_service, service);
     t.stall_cycles += service - 1;

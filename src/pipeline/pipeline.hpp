@@ -40,7 +40,8 @@ class Pipeline {
  public:
   explicit Pipeline(const PipelineConfig& config);
 
-  /// Installs a program on stage `index` (replacing the default).
+  /// Installs a program on stage `index` (replacing the default; an empty
+  /// program restores it).
   void set_stage_program(std::uint32_t index, StageProgram program);
 
   /// Installs the same program on every stage.

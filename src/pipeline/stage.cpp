@@ -25,11 +25,4 @@ void Stage::run_maus(packet::Phv& phv) {
   for (mat::MatchActionUnit& mau : maus_) mau.process(phv);
 }
 
-StageProgram default_stage_program() {
-  return [](packet::Phv& phv, Stage& stage) -> std::uint64_t {
-    stage.run_maus(phv);
-    return 1;
-  };
-}
-
 }  // namespace adcp::pipeline

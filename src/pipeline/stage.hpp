@@ -70,10 +70,8 @@ class Stage {
 
 /// Per-stage program: transforms the PHV using the stage's resources and
 /// returns the pipe cycles the stage spent (>= 1; >1 stalls the pipeline,
-/// e.g. serialized array lookups).
+/// e.g. serialized array lookups). An empty program is the default: run
+/// the attached MAUs, one pipe cycle.
 using StageProgram = std::function<std::uint64_t(packet::Phv&, Stage&)>;
-
-/// The default program: run the attached MAUs, one pipe cycle.
-StageProgram default_stage_program();
 
 }  // namespace adcp::pipeline

@@ -100,37 +100,6 @@ void RmtSwitch::inject(packet::PortId port, packet::Packet pkt) {
   sim_->at(free, [this, pkt = std::move(pkt)]() mutable { enter_ingress(std::move(pkt)); });
 }
 
-RmtSwitch::TransitSlot* RmtSwitch::transit_acquire() {
-  if (transit_free_.empty()) {
-    transit_slots_.push_back(std::make_unique<TransitSlot>());
-    return transit_slots_.back().get();
-  }
-  TransitSlot* slot = transit_free_.back();
-  transit_free_.pop_back();
-  return slot;
-}
-
-void RmtSwitch::transit_release(TransitSlot* slot) {
-  slot->port = packet::kInvalidPort;
-  transit_free_.push_back(slot);
-}
-
-RmtSwitch::FastSlot* RmtSwitch::fast_acquire() {
-  if (fast_free_.empty()) {
-    fast_slots_.push_back(std::make_unique<FastSlot>());
-    return fast_slots_.back().get();
-  }
-  FastSlot* slot = fast_free_.back();
-  fast_free_.pop_back();
-  return slot;
-}
-
-void RmtSwitch::fast_release(FastSlot* slot) {
-  slot->egress = packet::kInvalidPort;
-  slot->port = packet::kInvalidPort;
-  fast_free_.push_back(slot);
-}
-
 bool RmtSwitch::try_fast_ingress(packet::Packet& pkt) {
   fast_->sync(contract_);
   fastpath::WireView w;
@@ -166,7 +135,7 @@ bool RmtSwitch::try_fast_ingress(packet::Packet& pkt) {
       e->timing.stall_cycles);
   spans_.span(sim::SpanKind::kIngress, pkt.meta.trace_id, sim_->now(), tr.exit,
               pipe, pkt.meta.ingress_port);
-  FastSlot* f = fast_acquire();
+  FastSlot* f = fast_slots_.acquire();
   f->pkt = std::move(pkt);
   f->wire = w;
   f->egress = egress;
@@ -179,7 +148,7 @@ void RmtSwitch::after_ingress_fast(FastSlot* f) {
   packet::Packet out =
       fastpath::copy_patch(pool_, std::move(f->pkt), f->wire, f->patch);
   const packet::PortId egress = f->egress;
-  fast_release(f);
+  fast_slots_.release(f);
   out.meta.egress_port = egress;
   const std::uint64_t trace_id = out.meta.trace_id;
   out.meta.trace_mark = sim_->now();  // TM residency span begins here
@@ -209,7 +178,7 @@ bool RmtSwitch::try_fast_egress(packet::Packet& pkt, packet::PortId port) {
       egress_site_.timing.stall_cycles);
   spans_.span(sim::SpanKind::kEgress, pkt.meta.trace_id, sim_->now(), tr.exit,
               pipe, port);
-  FastSlot* f = fast_acquire();
+  FastSlot* f = fast_slots_.acquire();
   f->pkt = std::move(pkt);
   f->wire = w;
   f->port = port;
@@ -221,26 +190,9 @@ void RmtSwitch::after_egress_fast(FastSlot* f) {
   const packet::PortId port = f->port;
   packet::Packet out = fastpath::copy_patch(pool_, std::move(f->pkt), f->wire,
                                             fastpath::Patch::kPassthrough);
-  fast_release(f);
-  ++in_flight_[port];
+  fast_slots_.release(f);
   out.meta.egress_port = port;
-  sim::Time& free = tx_free_[port];
-  const sim::Time start = std::max(sim_->now(), free);
-  // The tap may append INT trailer bytes, so it must run before the TX
-  // serialization window is sized — the telemetry byte tax is simulated.
-  if (tap_ != nullptr) tap_->at_tx(out, start, port);
-  free = start + sim::serialization_time(out.size(), config_.port_gbps);
-  spans_.span(sim::SpanKind::kTx, out.meta.trace_id, start, free, port, out.size());
-  sim_->at(free, [this, out = std::move(out)]() mutable {
-    const packet::PortId port = out.meta.egress_port;
-    metrics_.tx_packets.add();
-    metrics_.tx_bytes.add(out.size());
-    if (first_tx_ == 0) first_tx_ = sim_->now();
-    last_tx_ = sim_->now();
-    --in_flight_[port];
-    if (tx_handler_) tx_handler_(port, std::move(out));
-    try_drain(port);
-  });
+  transmit(std::move(out));
 }
 
 void RmtSwitch::fill_fastpath(const TransitSlot* t, packet::PortId egress) {
@@ -269,7 +221,7 @@ void RmtSwitch::fill_fastpath(const TransitSlot* t, packet::PortId egress) {
 
 void RmtSwitch::enter_ingress(packet::Packet pkt) {
   if (fast_ && try_fast_ingress(pkt)) return;
-  TransitSlot* t = transit_acquire();
+  TransitSlot* t = transit_.acquire();
   parser_->parse_into(pkt, t->pr);
   if (!t->pr.accepted) {
     metrics_.parse_drops.add();
@@ -277,7 +229,7 @@ void RmtSwitch::enter_ingress(packet::Packet pkt) {
                    static_cast<std::uint64_t>(sim::DropReason::kParse));
     if (tap_ != nullptr) tap_->on_drop(pkt, sim::DropReason::kParse, sim_->now());
     pool_.release(std::move(pkt));
-    transit_release(t);
+    transit_.release(t);
     return;
   }
   t->pr.phv.set(packet::fields::kMetaRecircPass, pkt.meta.recirculations);
@@ -309,7 +261,7 @@ void RmtSwitch::after_ingress(TransitSlot* t) {
                    static_cast<std::uint64_t>(sim::DropReason::kProgram));
     if (tap_ != nullptr) tap_->on_drop(t->pkt, sim::DropReason::kProgram, sim_->now());
     pool_.release(std::move(t->pkt));
-    transit_release(t);
+    transit_.release(t);
     return;
   }
   const std::uint64_t group = phv.get_or(packet::fields::kMetaMulticastGroup, 0);
@@ -325,7 +277,7 @@ void RmtSwitch::after_ingress(TransitSlot* t) {
   // Deparsing preserves metadata (recirculation count included).
   packet::Packet out = finalize(phv, std::move(t->pkt), t->pr.consumed);
   out.meta.drop = false;
-  transit_release(t);
+  transit_.release(t);
 
   if (group != 0) {
     const auto it = multicast_.find(static_cast<std::uint32_t>(group));
@@ -400,7 +352,7 @@ void RmtSwitch::drain(packet::PortId port) {
     return;
   }
 
-  TransitSlot* t = transit_acquire();
+  TransitSlot* t = transit_.acquire();
   parser_->parse_into(*pkt, t->pr);
   if (!t->pr.accepted) {
     metrics_.parse_drops.add();
@@ -408,7 +360,7 @@ void RmtSwitch::drain(packet::PortId port) {
                    static_cast<std::uint64_t>(sim::DropReason::kParse));
     if (tap_ != nullptr) tap_->on_drop(*pkt, sim::DropReason::kParse, sim_->now());
     pool_.release(std::move(*pkt));
-    transit_release(t);
+    transit_.release(t);
     try_drain(port);
     return;
   }
@@ -444,7 +396,7 @@ void RmtSwitch::after_egress(TransitSlot* t) {
                    static_cast<std::uint64_t>(sim::DropReason::kProgram));
     if (tap_ != nullptr) tap_->on_drop(t->pkt, sim::DropReason::kProgram, sim_->now());
     pool_.release(std::move(t->pkt));
-    transit_release(t);
+    transit_.release(t);
     try_drain(port);
     return;
   }
@@ -453,32 +405,38 @@ void RmtSwitch::after_egress(TransitSlot* t) {
 
   const bool recirc = recirc_requested ||
                       t->pr.phv.get_or(packet::fields::kMetaRecirc, 0) != 0;
-  transit_release(t);
+  transit_.release(t);
   if (recirc) {
     recirculate(std::move(out), config_.pipeline_of_port(port));
     try_drain(port);
     return;
   }
 
+  out.meta.egress_port = port;
+  transmit(std::move(out));
+}
+
+void RmtSwitch::transmit(packet::Packet pkt) {
   // Only now does the packet occupy the small egress FIFO awaiting TX.
   // The port rides in the packet metadata: {this, Packet} fills the inline
   // callback capacity exactly, so one more captured word would heap-spill.
+  const packet::PortId port = pkt.meta.egress_port;
   ++in_flight_[port];
-  out.meta.egress_port = port;
   sim::Time& free = tx_free_[port];
   const sim::Time start = std::max(sim_->now(), free);
-  // Tap before sizing the TX window (it may append INT trailer bytes).
-  if (tap_ != nullptr) tap_->at_tx(out, start, port);
-  free = start + sim::serialization_time(out.size(), config_.port_gbps);
-  spans_.span(sim::SpanKind::kTx, out.meta.trace_id, start, free, port, out.size());
-  sim_->at(free, [this, out = std::move(out)]() mutable {
-    const packet::PortId port = out.meta.egress_port;
+  // The tap may append INT trailer bytes, so it must run before the TX
+  // serialization window is sized — the telemetry byte tax is simulated.
+  if (tap_ != nullptr) tap_->at_tx(pkt, start, port);
+  free = start + sim::serialization_time(pkt.size(), config_.port_gbps);
+  spans_.span(sim::SpanKind::kTx, pkt.meta.trace_id, start, free, port, pkt.size());
+  sim_->at(free, [this, pkt = std::move(pkt)]() mutable {
+    const packet::PortId port = pkt.meta.egress_port;
     metrics_.tx_packets.add();
-    metrics_.tx_bytes.add(out.size());
+    metrics_.tx_bytes.add(pkt.size());
     if (first_tx_ == 0) first_tx_ = sim_->now();
     last_tx_ = sim_->now();
     --in_flight_[port];
-    if (tx_handler_) tx_handler_(port, std::move(out));
+    if (tx_handler_) tx_handler_(port, std::move(pkt));
     try_drain(port);
   });
 }

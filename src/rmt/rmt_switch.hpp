@@ -24,6 +24,7 @@
 #include "rmt/program.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_pool.hpp"
 #include "tm/traffic_manager.hpp"
 
 namespace adcp::rmt {
@@ -144,8 +145,6 @@ class RmtSwitch final : public net::SwitchDevice {
     packet::PortId port = packet::kInvalidPort;
     pipeline::Transit tr;  ///< ingress transit, kept for fast-path fills
   };
-  TransitSlot* transit_acquire();
-  void transit_release(TransitSlot* slot);
 
   /// Fast-path continuation state, pooled like TransitSlot ({this, Packet}
   /// alone fills the inline callback capacity, so the wire view and the
@@ -157,8 +156,6 @@ class RmtSwitch final : public net::SwitchDevice {
     packet::PortId port = packet::kInvalidPort;
     fastpath::Patch patch = fastpath::Patch::kForward;
   };
-  FastSlot* fast_acquire();
-  void fast_release(FastSlot* slot);
 
   /// Probes the verdict cache; on a hit, advances the ingress pipeline and
   /// schedules the copy-and-patch continuation (consuming `pkt`).
@@ -179,6 +176,8 @@ class RmtSwitch final : public net::SwitchDevice {
   void after_ingress(TransitSlot* t);
   void after_egress(TransitSlot* t);
   void recirculate(packet::Packet pkt, std::uint32_t pipe);
+  /// TX serialization onto pkt.meta.egress_port, then the TX handler.
+  void transmit(packet::Packet pkt);
   void try_drain(packet::PortId port);
   void drain(packet::PortId port);
 
@@ -190,10 +189,8 @@ class RmtSwitch final : public net::SwitchDevice {
   RmtMetrics metrics_;
   sim::SpanRecorder spans_;
   packet::Pool pool_;
-  std::vector<std::unique_ptr<TransitSlot>> transit_slots_;  ///< owns every slot
-  std::vector<TransitSlot*> transit_free_;                   ///< warm free list
-  std::vector<std::unique_ptr<FastSlot>> fast_slots_;
-  std::vector<FastSlot*> fast_free_;
+  sim::SlotPool<TransitSlot> transit_;
+  sim::SlotPool<FastSlot> fast_slots_;
   fastpath::FastpathContract contract_;
   std::optional<fastpath::FlowCache> fast_;  ///< armed by load_program
   fastpath::StaticSite egress_site_;         ///< measured passthrough timing

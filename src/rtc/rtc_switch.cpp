@@ -49,22 +49,6 @@ void RtcSwitch::load_program(RtcProgram program) {
   }
 }
 
-RtcSwitch::FastSlot* RtcSwitch::fast_acquire() {
-  if (fast_free_.empty()) {
-    fast_slots_.push_back(std::make_unique<FastSlot>());
-    return fast_slots_.back().get();
-  }
-  FastSlot* slot = fast_free_.back();
-  fast_free_.pop_back();
-  return slot;
-}
-
-void RtcSwitch::fast_release(FastSlot* slot) {
-  slot->egress = packet::kInvalidPort;
-  slot->queued_at = 0;
-  fast_free_.push_back(slot);
-}
-
 void RtcSwitch::set_multicast_group(std::uint32_t group, std::vector<packet::PortId> ports) {
   multicast_[group] = std::move(ports);
 }
@@ -135,7 +119,7 @@ bool RtcSwitch::try_fast_dispatch(packet::Packet& pkt, std::size_t proc,
   proc_free_[proc] = sim_->now() + busy;
   spans_.span(sim::SpanKind::kIngress, pkt.meta.trace_id, sim_->now(), proc_free_[proc],
               proc, e->timing.work);
-  FastSlot* f = fast_acquire();
+  FastSlot* f = fast_slots_.acquire();
   f->pkt = std::move(pkt);
   f->wire = w;
   f->egress = egress;
@@ -152,25 +136,27 @@ void RtcSwitch::finish_fast(FastSlot* f) {
   metrics_.latency.record(static_cast<double>(sim_->now() - f->queued_at));
   packet::Packet out = fastpath::copy_patch(pool_, std::move(f->pkt), f->wire, f->patch);
   out.meta.egress_port = f->egress;
-  fast_release(f);
+  fast_slots_.release(f);
+  transmit(std::move(out));
+}
 
-  // TX serialization, exactly as finish() does for the unicast case. The
-  // port rides in the packet metadata: {this, Packet} fills the inline
+void RtcSwitch::transmit(packet::Packet pkt) {
+  // The port rides in the packet metadata: {this, Packet} fills the inline
   // callback capacity exactly, so one more captured word would heap-spill.
-  sim::Time& free = tx_free_[out.meta.egress_port];
+  const packet::PortId port = pkt.meta.egress_port;
+  sim::Time& free = tx_free_[port];
   const sim::Time start = std::max(sim_->now(), free);
   // Tap before sizing the TX window (it may append INT trailer bytes).
-  if (tap_ != nullptr) tap_->at_tx(out, start, out.meta.egress_port);
-  free = start + sim::serialization_time(out.size(), config_.port_gbps);
-  spans_.span(sim::SpanKind::kTx, out.meta.trace_id, start, free, out.meta.egress_port,
-              out.size());
-  sim_->at(free, [this, out = std::move(out)]() mutable {
-    const packet::PortId port = out.meta.egress_port;
+  if (tap_ != nullptr) tap_->at_tx(pkt, start, port);
+  free = start + sim::serialization_time(pkt.size(), config_.port_gbps);
+  spans_.span(sim::SpanKind::kTx, pkt.meta.trace_id, start, free, port, pkt.size());
+  sim_->at(free, [this, pkt = std::move(pkt)]() mutable {
+    const packet::PortId port = pkt.meta.egress_port;
     metrics_.tx_packets.add();
-    metrics_.tx_bytes.add(out.size());
+    metrics_.tx_bytes.add(pkt.size());
     if (first_tx_ == 0) first_tx_ = sim_->now();
     last_tx_ = sim_->now();
-    if (tx_handler_) tx_handler_(port, std::move(out));
+    if (tx_handler_) tx_handler_(port, std::move(pkt));
   });
 }
 
@@ -219,40 +205,44 @@ void RtcSwitch::try_dispatch() {
                      pkt, static_cast<std::size_t>(it - proc_free_.begin()), queued_at)) {
       continue;
     }
-    packet::ParseResult& pr = scratch_parse_;
-    parser_->parse_into(pkt, pr);
-    if (!pr.accepted) {
+    TransitSlot* t = transit_.acquire();
+    parser_->parse_into(pkt, t->pr);
+    if (!t->pr.accepted) {
       metrics_.parse_drops.add();
       spans_.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sim_->now(),
                      static_cast<std::uint64_t>(sim::DropReason::kParse));
       if (tap_ != nullptr) tap_->on_drop(pkt, sim::DropReason::kParse, sim_->now());
       pool_.release(std::move(pkt));
+      transit_.release(t);
       continue;
     }
 
-    const std::uint64_t work = run_(pr.phv, shared_, config_);
+    const std::uint64_t work = run_(t->pr.phv, shared_, config_);
     const sim::Time busy = (work + config_.dispatch_cycles) *
                            sim::period_from_ghz(config_.clock_ghz);
     *it = sim_->now() + busy;
     spans_.span(sim::SpanKind::kIngress, pkt.meta.trace_id, sim_->now(), *it,
                 static_cast<std::uint64_t>(it - proc_free_.begin()), work);
-    sim_->at(*it, [this, phv = std::move(pr.phv), pkt = std::move(pkt),
-                   consumed = pr.consumed, queued_at, work]() mutable {
-      finish(std::move(phv), std::move(pkt), consumed, queued_at, work);
+    t->pkt = std::move(pkt);
+    t->queued_at = queued_at;
+    t->work = work;
+    sim_->at(*it, [this, t] {
+      finish(t);
       try_dispatch();
     });
   }
 }
 
-void RtcSwitch::finish(packet::Phv phv, packet::Packet original, std::size_t consumed,
-                       sim::Time queued_at, std::uint64_t work) {
-  metrics_.latency.record(static_cast<double>(sim_->now() - queued_at));
+void RtcSwitch::finish(TransitSlot* t) {
+  metrics_.latency.record(static_cast<double>(sim_->now() - t->queued_at));
+  const packet::Phv& phv = t->pr.phv;
   if (phv.get_or(packet::fields::kMetaDrop, 0) != 0) {
     metrics_.program_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, original.meta.trace_id, sim_->now(),
+    spans_.instant(sim::SpanKind::kDrop, t->pkt.meta.trace_id, sim_->now(),
                    static_cast<std::uint64_t>(sim::DropReason::kProgram));
-    if (tap_ != nullptr) tap_->on_drop(original, sim::DropReason::kProgram, sim_->now());
-    pool_.release(std::move(original));
+    if (tap_ != nullptr) tap_->on_drop(t->pkt, sim::DropReason::kProgram, sim_->now());
+    pool_.release(std::move(t->pkt));
+    transit_.release(t);
     return;
   }
   const std::uint64_t group = phv.get_or(packet::fields::kMetaMulticastGroup, 0);
@@ -260,18 +250,18 @@ void RtcSwitch::finish(packet::Phv phv, packet::Packet original, std::size_t con
       phv.get_or(packet::fields::kMetaEgressPort, packet::kInvalidPort);
   // Memoize unicast forward verdicts while the original bytes are intact.
   if (fast_ && group == 0 && egress_field < config_.port_count) {
-    fill_fastpath(original, phv, work, static_cast<packet::PortId>(egress_field));
+    fill_fastpath(t->pkt, phv, t->work, static_cast<packet::PortId>(egress_field));
   }
   packet::Packet out;
   if (is_inc(phv)) {
     out = pool_.acquire();
-    deparser_->deparse_into(phv, original, consumed, out);
-    pool_.release(std::move(original));
+    deparser_->deparse_into(phv, t->pkt, t->pr.consumed, out);
+    pool_.release(std::move(t->pkt));
   } else {
-    out = std::move(original);
+    out = std::move(t->pkt);
   }
+  transit_.release(t);
 
-  std::vector<packet::PortId> dests;
   if (group != 0) {
     const auto it = multicast_.find(static_cast<std::uint32_t>(group));
     if (it == multicast_.end() || it->second.empty()) {
@@ -282,36 +272,24 @@ void RtcSwitch::finish(packet::Phv phv, packet::Packet original, std::size_t con
       pool_.release(std::move(out));
       return;
     }
-    dests = it->second;
-  } else {
-    if (egress_field >= config_.port_count) {
-      metrics_.no_route_drops.add();
-      spans_.instant(sim::SpanKind::kDrop, out.meta.trace_id, sim_->now(),
-                     static_cast<std::uint64_t>(sim::DropReason::kNoRoute));
-      if (tap_ != nullptr) tap_->on_drop(out, sim::DropReason::kNoRoute, sim_->now());
-      pool_.release(std::move(out));
-      return;
+    const std::vector<packet::PortId>& ports = it->second;
+    for (const packet::PortId port : ports) {
+      packet::Packet copy = ports.size() == 1 ? std::move(out) : out;
+      copy.meta.egress_port = port;
+      transmit(std::move(copy));
     }
-    dests.push_back(static_cast<packet::PortId>(egress_field));
+    return;
   }
-
-  for (const packet::PortId port : dests) {
-    packet::Packet copy = dests.size() == 1 ? std::move(out) : out;
-    copy.meta.egress_port = port;
-    sim::Time& free = tx_free_[port];
-    const sim::Time start = std::max(sim_->now(), free);
-    // Tap before sizing the TX window (it may append INT trailer bytes).
-    if (tap_ != nullptr) tap_->at_tx(copy, start, port);
-    free = start + sim::serialization_time(copy.size(), config_.port_gbps);
-    spans_.span(sim::SpanKind::kTx, copy.meta.trace_id, start, free, port, copy.size());
-    sim_->at(free, [this, copy = std::move(copy), port]() mutable {
-      metrics_.tx_packets.add();
-      metrics_.tx_bytes.add(copy.size());
-      if (first_tx_ == 0) first_tx_ = sim_->now();
-      last_tx_ = sim_->now();
-      if (tx_handler_) tx_handler_(port, std::move(copy));
-    });
+  if (egress_field >= config_.port_count) {
+    metrics_.no_route_drops.add();
+    spans_.instant(sim::SpanKind::kDrop, out.meta.trace_id, sim_->now(),
+                   static_cast<std::uint64_t>(sim::DropReason::kNoRoute));
+    if (tap_ != nullptr) tap_->on_drop(out, sim::DropReason::kNoRoute, sim_->now());
+    pool_.release(std::move(out));
+    return;
   }
+  out.meta.egress_port = static_cast<packet::PortId>(egress_field);
+  transmit(std::move(out));
 }
 
 double RtcSwitch::achieved_tx_gbps() const {

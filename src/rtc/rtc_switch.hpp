@@ -24,6 +24,7 @@
 #include "rtc/config.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/stats.hpp"
 #include "tm/queue.hpp"
 
@@ -161,6 +162,16 @@ class RtcSwitch final : public net::SwitchDevice {
   }
 
  private:
+  /// A dispatched packet's state while its processor runs, pooled and
+  /// handed to the completion by pointer: a Phv is far larger than the
+  /// inline callback capacity, so capturing it by value would heap-spill.
+  struct TransitSlot {
+    packet::ParseResult pr;
+    packet::Packet pkt;
+    sim::Time queued_at = 0;
+    std::uint64_t work = 0;  ///< processor cycles the program charged
+  };
+
   /// Fast-path continuation state, pooled ({this, Packet} alone fills the
   /// inline callback capacity, so the wire view and verdict ride here).
   struct FastSlot {
@@ -170,8 +181,6 @@ class RtcSwitch final : public net::SwitchDevice {
     fastpath::Patch patch = fastpath::Patch::kForward;
     sim::Time queued_at = 0;
   };
-  FastSlot* fast_acquire();
-  void fast_release(FastSlot* slot);
 
   /// Probes the verdict cache for the packet a free processor is about to
   /// take; on a hit, charges the memoized cycle count and schedules the
@@ -184,8 +193,9 @@ class RtcSwitch final : public net::SwitchDevice {
                      std::uint64_t work, packet::PortId egress);
 
   void try_dispatch();
-  void finish(packet::Phv phv, packet::Packet original, std::size_t consumed,
-              sim::Time queued_at, std::uint64_t work);
+  void finish(TransitSlot* t);
+  /// TX serialization onto pkt.meta.egress_port, then the TX handler.
+  void transmit(packet::Packet pkt);
 
   sim::Simulator* sim_;
   RtcConfig config_;
@@ -195,9 +205,8 @@ class RtcSwitch final : public net::SwitchDevice {
   RtcMetrics metrics_;
   sim::SpanRecorder spans_;
   packet::Pool pool_;
-  packet::ParseResult scratch_parse_;  ///< reused by try_dispatch
-  std::vector<std::unique_ptr<FastSlot>> fast_slots_;  ///< owns every slot
-  std::vector<FastSlot*> fast_free_;                   ///< warm free list
+  sim::SlotPool<TransitSlot> transit_;
+  sim::SlotPool<FastSlot> fast_slots_;
   fastpath::FastpathContract contract_;
   std::optional<fastpath::FlowCache> fast_;  ///< armed by load_program
   std::optional<packet::Parser> parser_;

@@ -29,13 +29,13 @@ void Simulator::cancel_event(std::uint32_t slot_i, std::uint32_t gen) {
   --live_;
   if (slot_i == executing_ && gen == executing_gen_) {
     // The callback is cancelling itself; its callable is still on the
-    // stack. step() finishes the reclaim once it returns. Its heap entry
+    // stack. fire() finishes the reclaim once it returns. Its queue entry
     // was already popped, so nothing goes stale.
     return;
   }
   s.fn = nullptr;  // release captured resources promptly
   free_slot(slot_i);
-  ++stale_;  // its heap entry now points at a dead generation
+  ++stale_;  // its queue entry now points at a dead generation
   maybe_compact();
 }
 
@@ -43,7 +43,17 @@ bool Simulator::event_active(std::uint32_t slot_i, std::uint32_t gen) const {
   return slot(slot_i).gen == gen;
 }
 
-void Simulator::heap_push(HeapEntry e) {
+void Simulator::fifo_grow() {
+  // Unrolls the ring into a buffer twice the size; the head lands at 0.
+  std::vector<Entry> grown(std::max<std::size_t>(64, 2 * fifo_.size()));
+  for (std::size_t k = 0; k < fifo_size_; ++k) {
+    grown[k] = fifo_[(fifo_head_ + k) & (fifo_.size() - 1)];
+  }
+  fifo_ = std::move(grown);
+  fifo_head_ = 0;
+}
+
+void Simulator::heap_push(Entry e) {
   std::size_t i = heap_.size();
   heap_.push_back(e);
   while (i > 0) {
@@ -57,7 +67,7 @@ void Simulator::heap_push(HeapEntry e) {
 
 void Simulator::heap_sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[i];
+  const Entry e = heap_[i];
   for (;;) {
     const std::size_t first = (i << 2) + 1;
     if (first >= n) break;
@@ -80,54 +90,81 @@ void Simulator::heap_pop_front() {
 }
 
 void Simulator::maybe_compact() {
-  if (heap_.size() < 64 || stale_ * 2 <= heap_.size()) return;
-  std::erase_if(heap_, [this](const HeapEntry& e) { return slot(e.slot).gen != e.gen; });
-  stale_ = 0;
+  const std::size_t queued = heap_.size() + fifo_size_;
+  if (queued < 64 || stale_ * 2 <= queued) return;
+  std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
   if (heap_.size() > 1) {
     for (std::size_t i = (heap_.size() - 2) >> 2; ; --i) {
       heap_sift_down(i);
       if (i == 0) break;
     }
   }
+  // Filter the ring in order; live entries slide toward the head.
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < fifo_size_; ++k) {
+    const Entry e = fifo_[(fifo_head_ + k) & (fifo_.size() - 1)];
+    if (!stale(e)) fifo_[(fifo_head_ + kept++) & (fifo_.size() - 1)] = e;
+  }
+  fifo_size_ = kept;
+  stale_ = 0;
+}
+
+Simulator::Lane Simulator::front_lane() {
+  while (fifo_size_ > 0 && stale(fifo_front())) {
+    fifo_pop_front();
+    --stale_;
+  }
+  while (!heap_.empty() && stale(heap_.front())) {
+    heap_pop_front();
+    --stale_;
+  }
+  // Both lanes are sorted by (time, seq), so the earlier of the two heads
+  // is the global minimum: the merged order is the single heap's order.
+  if (fifo_size_ == 0) return heap_.empty() ? Lane::kNone : Lane::kHeap;
+  if (heap_.empty() || before(fifo_front(), heap_.front())) return Lane::kFifo;
+  return Lane::kHeap;
+}
+
+void Simulator::fire(Lane lane) {
+  const Entry e = front(lane);
+  if (lane == Lane::kFifo) {
+    fifo_pop_front();
+  } else {
+    heap_pop_front();
+  }
+  Slot& s = slot(e.slot);
+  assert(e.at >= now_);
+  now_ = e.at;
+  executing_ = e.slot;
+  executing_gen_ = e.gen;
+  // Runs in place in the slab; the reference stays valid because the
+  // callback may schedule (chunks only grow; slots never move) or
+  // cancel, including cancelling itself.
+  s.fn();
+  executing_ = kNoSlot;
+  if (s.gen != e.gen) {
+    // Cancelled from inside a callback; cancel_event() deferred the
+    // reclaim because the callable was executing.
+    s.fn = nullptr;
+    free_slot(e.slot);
+  } else if (s.period > 0) {
+    // Periodic: reschedule in place — same slot, same generation, fresh
+    // sequence number so equal-timestamp FIFO order matches a fresh
+    // schedule issued after the callback ran.
+    heap_push({now_ + s.period, next_seq_++, e.slot, e.gen});
+  } else {
+    s.fn = nullptr;
+    ++s.gen;
+    --live_;
+    free_slot(e.slot);
+  }
 }
 
 bool Simulator::step() {
-  while (!heap_.empty()) {
-    const HeapEntry e = heap_.front();
-    heap_pop_front();
-    Slot& s = slot(e.slot);
-    if (s.gen != e.gen) {  // cancelled; slot already reclaimed
-      --stale_;
-      continue;
-    }
-    assert(e.at >= now_);
-    now_ = e.at;
-    executing_ = e.slot;
-    executing_gen_ = e.gen;
-    // Runs in place in the slab; the reference stays valid because the
-    // callback may schedule (chunks only grow; slots never move) or
-    // cancel, including cancelling itself.
-    s.fn();
-    executing_ = kNoSlot;
-    if (s.gen != e.gen) {
-      // Cancelled from inside a callback; cancel_event() deferred the
-      // reclaim because the callable was executing.
-      s.fn = nullptr;
-      free_slot(e.slot);
-    } else if (s.period > 0) {
-      // Periodic: reschedule in place — same slot, same generation, fresh
-      // sequence number so equal-timestamp FIFO order matches a fresh
-      // schedule issued after the callback ran.
-      heap_push({now_ + s.period, next_seq_++, e.slot, e.gen});
-    } else {
-      s.fn = nullptr;
-      ++s.gen;
-      --live_;
-      free_slot(e.slot);
-    }
-    return true;
-  }
-  return false;
+  const Lane lane = front_lane();
+  if (lane == Lane::kNone) return false;
+  fire(lane);
+  return true;
 }
 
 std::uint64_t Simulator::run() {
@@ -140,41 +177,29 @@ std::uint64_t Simulator::run() {
 std::uint64_t Simulator::run_until(Time deadline) {
   stopped_ = false;
   std::uint64_t executed = 0;
-  while (!stopped_ && !heap_.empty()) {
-    // Discard stale entries to find the next live event.
-    const HeapEntry& top = heap_.front();
-    if (slot(top.slot).gen != top.gen) {
-      heap_pop_front();
-      --stale_;
-      continue;
-    }
-    if (top.at > deadline) break;
-    if (step()) ++executed;
+  while (!stopped_) {
+    const Lane lane = front_lane();
+    if (lane == Lane::kNone || front(lane).at > deadline) break;
+    fire(lane);
+    ++executed;
   }
   if (now_ < deadline) now_ = deadline;
   return executed;
 }
 
 Time Simulator::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slot(top.slot).gen != top.gen) {
-      heap_pop_front();
-      --stale_;
-      continue;
-    }
-    return top.at;
-  }
-  return kNoEventTime;
+  const Lane lane = front_lane();
+  return lane == Lane::kNone ? kNoEventTime : front(lane).at;
 }
 
 std::uint64_t Simulator::run_window(Time end) {
   stopped_ = false;
   std::uint64_t executed = 0;
   while (!stopped_) {
-    const Time t = next_event_time();
-    if (t == kNoEventTime || t >= end) break;
-    if (step()) ++executed;
+    const Lane lane = front_lane();
+    if (lane == Lane::kNone || front(lane).at >= end) break;
+    fire(lane);
+    ++executed;
   }
   return executed;
 }

@@ -14,10 +14,14 @@
 //  - Ordering is a 4-ary min-heap over (time, seq) holding 24-byte entries
 //    that reference slab slots — sift operations move small PODs, never
 //    callables.
+//  - Zero-delay events (scheduled at now()) bypass the heap: they go to a
+//    FIFO ring that is sorted by (time, seq) by construction, and the run
+//    loop pops whichever lane head is earlier — the same order the heap
+//    alone would produce (see front_lane()).
 //  - Callbacks are InlineFunction (see inline_function.hpp): captures up to
 //    the inline budget are stored in the slot itself.
 //  - Cancellation is a generation check: an EventHandle names (slot, gen);
-//    cancel() frees the slot immediately and any stale heap entry is
+//    cancel() frees the slot immediately and any stale queue entry is
 //    discarded lazily when it surfaces. No shared_ptr, no atomics.
 #pragma once
 
@@ -96,7 +100,7 @@ class Simulator {
     Slot& s = slot(i);
     s.fn = std::forward<F>(fn);
     s.period = 0;
-    heap_push({at, next_seq_++, i, s.gen});
+    enqueue({at, next_seq_++, i, s.gen});
     ++live_;
     return EventHandle{this, i, s.gen};
   }
@@ -132,7 +136,7 @@ class Simulator {
     Slot& s = slot(i);
     s.fn = std::forward<F>(fn);
     s.period = period;
-    heap_push({now_ + phase, next_seq_++, i, s.gen});
+    enqueue({now_ + phase, next_seq_++, i, s.gen});
     ++live_;
     return EventHandle{this, i, s.gen};
   }
@@ -150,7 +154,7 @@ class Simulator {
   static constexpr Time kNoEventTime = ~Time{0};
 
   /// Timestamp of the earliest live event, or kNoEventTime if none.
-  /// Discards stale (cancelled) heap entries as a side effect.
+  /// Discards stale (cancelled) queue entries as a side effect.
   [[nodiscard]] Time next_event_time();
 
   /// Runs every event with timestamp strictly below `end` (a half-open
@@ -191,21 +195,25 @@ class Simulator {
     std::uint32_t next_free = kNoSlot;
   };
 
-  struct HeapEntry {
+  struct Entry {
     Time at;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
   };
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
+  static bool before(const Entry& a, const Entry& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
+
+  /// Which queue holds the earliest live entry.
+  enum class Lane : std::uint8_t { kNone, kHeap, kFifo };
 
   Slot& slot(std::uint32_t i) { return chunks_[i >> kChunkShift][i & (kChunkSize - 1)]; }
   [[nodiscard]] const Slot& slot(std::uint32_t i) const {
     return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
   }
+  [[nodiscard]] bool stale(const Entry& e) const { return slot(e.slot).gen != e.gen; }
 
   std::uint32_t alloc_slot() {
     if (free_head_ != kNoSlot) {
@@ -223,22 +231,55 @@ class Simulator {
   void cancel_event(std::uint32_t slot, std::uint32_t gen);
   [[nodiscard]] bool event_active(std::uint32_t slot, std::uint32_t gen) const;
 
-  void heap_push(HeapEntry e);
+  /// Routes a new entry. Zero-delay entries join the FIFO: now() never
+  /// decreases and sequence numbers only grow, so appending keeps the ring
+  /// sorted by (time, seq) and its head is its minimum.
+  void enqueue(Entry e) {
+    if (e.at == now_) {
+      fifo_push(e);
+    } else {
+      heap_push(e);
+    }
+  }
+  void fifo_push(Entry e) {
+    if (fifo_size_ == fifo_.size()) fifo_grow();
+    fifo_[(fifo_head_ + fifo_size_) & (fifo_.size() - 1)] = e;
+    ++fifo_size_;
+  }
+  void fifo_grow();
+  void fifo_pop_front() {
+    fifo_head_ = (fifo_head_ + 1) & (fifo_.size() - 1);
+    --fifo_size_;
+  }
+  [[nodiscard]] const Entry& fifo_front() const { return fifo_[fifo_head_]; }
+
+  void heap_push(Entry e);
   void heap_pop_front();
   void heap_sift_down(std::size_t i);
-  /// Rebuilds the heap without stale entries once they dominate it.
+  /// Drops stale entries from both lane heads and names the lane whose
+  /// head is the earliest live entry by (time, seq).
+  Lane front_lane();
+  [[nodiscard]] const Entry& front(Lane lane) const {
+    return lane == Lane::kFifo ? fifo_front() : heap_.front();
+  }
+  /// Removes the head of `lane` and runs its event.
+  void fire(Lane lane);
+  /// Rebuilds both lanes without stale entries once they dominate.
   void maybe_compact();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stopped_ = false;
 
-  std::vector<HeapEntry> heap_;
+  std::vector<Entry> heap_;
+  std::vector<Entry> fifo_;  ///< zero-delay ring; size is a power of two
+  std::size_t fifo_head_ = 0;
+  std::size_t fifo_size_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t used_slots_ = 0;     ///< high-water mark of allocated slot ids
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;             ///< scheduled one-shots + active periodics
-  std::size_t stale_ = 0;            ///< heap entries pointing at dead slots
+  std::size_t stale_ = 0;            ///< queued entries pointing at dead slots
   std::uint32_t executing_ = kNoSlot;  ///< slot whose callback is running
   std::uint32_t executing_gen_ = 0;
 };

@@ -5,14 +5,12 @@
 // rewrites, and the end-to-end pins: with the cache armed on a fabric the
 // registry snapshot and span trace must be byte-identical to the cache-off
 // run for every switch model, and the steady-state hit path must not
-// allocate (this translation unit builds into its own binary, so the
-// counting operator-new hooks see every allocation in the process).
+// allocate (the counting allocator of tests/support sees every allocation
+// in the process).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <tuple>
 
@@ -23,42 +21,10 @@
 #include "packet/pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
+#include "support/alloc_counter.hpp"
 #include "topo/network.hpp"
 #include "topo/routing.hpp"
 #include "workload/rack_coflow.hpp"
-
-namespace {
-std::uint64_t g_allocations = 0;  // every operator new (any variant)
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace adcp {
 namespace {
@@ -451,10 +417,10 @@ TEST(FastpathZeroAlloc, SteadyStateHitsDoNotAllocate) {
   const fastpath::FlowCacheStats warm = net.fastpath_totals();
   ASSERT_GT(warm.hits, 0u) << "cache never engaged during warmup";
 
-  const std::uint64_t before = g_allocations;
+  const std::uint64_t before = test::allocations();
   for (int measured = 0; measured < 4; ++measured) burst();
-  EXPECT_EQ(g_allocations - before, 0u)
-      << "fast-path steady state allocated " << (g_allocations - before)
+  EXPECT_EQ(test::allocations() - before, 0u)
+      << "fast-path steady state allocated " << (test::allocations() - before)
       << " times";
 
   // Every measured packet hit: 2 racks x 8 packets x 4 bursts x 2 cached

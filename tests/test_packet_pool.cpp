@@ -3,15 +3,11 @@
 // The pooling refactor's whole point is that the per-packet substrate chain
 // (pool -> make_inc_packet_into -> parse_into -> pipeline -> traffic
 // manager -> deparse_into) performs no heap allocation once warm. That is
-// enforced here with counting replacements of the global allocation
-// functions: this translation unit builds into its own test binary (one
-// binary per tests/test_*.cpp), so the hooks observe every operator new in
-// the process without affecting the other suites.
+// enforced here with the counting allocator of tests/support, linked into
+// this test binary only.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <utility>
 
 #include "packet/deparser.hpp"
@@ -20,40 +16,8 @@
 #include "packet/pool.hpp"
 #include "pipeline/pipeline.hpp"
 #include "sim/metrics.hpp"
+#include "support/alloc_counter.hpp"
 #include "tm/traffic_manager.hpp"
-
-namespace {
-std::uint64_t g_allocations = 0;  // every operator new (any variant)
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace adcp::packet {
 namespace {
@@ -171,9 +135,9 @@ TEST(PacketPool, SteadyStateForwardingDoesNotAllocate) {
   // Warm every queue, the pool freelist, and all scratch capacities.
   for (std::uint32_t i = 0; i < 64; ++i) forward_one(i & 3);
 
-  const std::uint64_t before = g_allocations;
+  const std::uint64_t before = test::allocations();
   for (std::uint32_t i = 0; i < 1000; ++i) forward_one(i & 3);
-  const std::uint64_t during = g_allocations - before;
+  const std::uint64_t during = test::allocations() - before;
   EXPECT_EQ(during, 0u)
       << "steady-state substrate chain allocated " << during << " times over 1000 packets";
 }
@@ -217,9 +181,9 @@ TEST(PacketPool, RegistryBackedMetricsDoNotAllocateOnWarmChain) {
 
   for (std::uint32_t i = 0; i < 64; ++i) forward_one(i & 3);
 
-  const std::uint64_t before = g_allocations;
+  const std::uint64_t before = test::allocations();
   for (std::uint32_t i = 0; i < 1000; ++i) forward_one(i & 3);
-  const std::uint64_t during = g_allocations - before;
+  const std::uint64_t during = test::allocations() - before;
   EXPECT_EQ(during, 0u)
       << "registry-backed metrics allocated " << during << " times over 1000 packets";
 

@@ -65,6 +65,18 @@ class RefKernel {
 
   std::uint64_t run_until(Time deadline) { return run_until(deadline, true); }
 
+  // The half-open window [now, end) over integer time: everything at or
+  // before end - 1, and now() is not bumped.
+  std::uint64_t run_window(Time end) { return end == 0 ? 0 : run_until(end - 1, false); }
+
+  [[nodiscard]] Time next_event_time() const {
+    Time t = Simulator::kNoEventTime;
+    for (const Handle& e : events_) {
+      if (e->alive) t = std::min(t, e->at);
+    }
+    return t;
+  }
+
   [[nodiscard]] std::size_t pending() const {
     return static_cast<std::size_t>(
         std::count_if(events_.begin(), events_.end(), [](const Handle& e) { return e->alive; }));
@@ -125,6 +137,8 @@ struct SimAdapter {
   static void cancel(Handle& h) { h.cancel(); }
   std::uint64_t run() { return s.run(); }
   std::uint64_t run_until(Time t) { return s.run_until(t); }
+  std::uint64_t run_window(Time end) { return s.run_window(end); }
+  [[nodiscard]] Time next_event_time() { return s.next_event_time(); }
   [[nodiscard]] std::size_t pending() const { return s.pending(); }
 };
 
@@ -136,6 +150,9 @@ struct SimAdapter {
 struct Trace {
   std::vector<std::pair<int, Time>> firings;  // (event id, firing time)
   std::vector<Time> now_checkpoints;
+  std::vector<Time> next_event_times;         // next_event_time() at checkpoints
+  std::vector<std::size_t> pending_checkpoints;
+  std::vector<std::uint64_t> segment_counts;  // events run per window/segment
   std::uint64_t executed_before_deadline = 0;
   std::uint64_t executed_total = 0;
   std::size_t pending_mid = 0;
@@ -205,8 +222,139 @@ TEST(KernelEquivalence, RandomizedWorldsMatchReferenceModel) {
   }
 }
 
+// A world biased toward the zero-delay FIFO lane: most follow-ups are
+// scheduled at now(), cancels aim at zero-delay events that may still sit
+// in the FIFO, periodic tasks start with phase 0, and the run is cut into
+// run_window()/run_until() segments with next_event_time() checkpoints and
+// zero-delay schedules issued between segments.
+template <typename Kernel>
+Trace run_fifo_world(std::uint64_t seed) {
+  Kernel k;
+  Rng rng(seed);
+  Trace trace;
+  int next_id = 0;
+  std::vector<std::pair<int, typename Kernel::Handle>> handles;
+  std::vector<typename Kernel::Handle> zero_delay;  // every zero-delay schedule
+
+  std::function<void(int)> fire = [&](int id) {
+    trace.firings.emplace_back(id, k.now());
+    const std::uint64_t roll = rng.uniform(0, 9);
+    if (roll < 6 && next_id < 1500) {
+      const Time delta = roll < 4 ? 0 : rng.uniform(1, 300);
+      const int id2 = next_id++;
+      auto h = k.after(delta, [&fire, id2] { fire(id2); });
+      if (delta == 0) zero_delay.push_back(h);
+      handles.emplace_back(id2, h);
+    } else if (roll < 8 && !zero_delay.empty()) {
+      Kernel::cancel(zero_delay[rng.index(zero_delay.size())]);
+    } else if (roll < 9 && !handles.empty()) {
+      Kernel::cancel(handles[rng.index(handles.size())].second);
+    }
+  };
+  const auto schedule_now = [&] {
+    const int id = next_id++;
+    auto h = k.at(k.now(), [&fire, id] { fire(id); });
+    zero_delay.push_back(h);
+    handles.emplace_back(id, h);
+  };
+  const auto checkpoint = [&] {
+    trace.now_checkpoints.push_back(k.now());
+    trace.next_event_times.push_back(k.next_event_time());
+    trace.pending_checkpoints.push_back(k.pending());
+  };
+
+  // Seeds on a coarse grid, so timestamps tie; the ones at t = 0 are
+  // zero-delay from the start.
+  for (int i = 0; i < 60; ++i) {
+    const int id = next_id++;
+    handles.emplace_back(id, k.at(rng.uniform(0, 30) * 50, [&fire, id] { fire(id); }));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const int id = next_id++;
+    handles.emplace_back(id, k.every(rng.uniform(40, 300), 0, [&fire, id] { fire(id); }));
+  }
+  checkpoint();
+
+  for (const Time end : {Time{0}, Time{400}, Time{401}, Time{900}, Time{1700}, Time{2600}}) {
+    trace.segment_counts.push_back(k.run_window(end));
+    checkpoint();
+    for (int i = 0; i < 3; ++i) schedule_now();
+    const int id = next_id++;
+    handles.emplace_back(id, k.every(rng.uniform(100, 500), 0, [&fire, id] { fire(id); }));
+  }
+  trace.segment_counts.push_back(k.run_until(4000));
+  checkpoint();
+  schedule_now();
+  trace.segment_counts.push_back(k.run_window(k.next_event_time() + 1));
+  checkpoint();
+  for (auto& [id, h] : handles) Kernel::cancel(h);
+  checkpoint();
+  trace.executed_total = k.run();
+  trace.final_now = k.now();
+  return trace;
+}
+
+TEST(KernelEquivalence, ZeroDelayHeavyWorldsMatchReferenceModel) {
+  for (std::uint64_t seed : {3ULL, 11ULL, 99ULL, 2024ULL, 0xfeedULL, 0xc0ffeeULL}) {
+    const Trace fast = run_fifo_world<SimAdapter>(seed);
+    const Trace ref = run_fifo_world<RefKernel>(seed);
+    ASSERT_EQ(fast.firings.size(), ref.firings.size()) << "seed " << seed;
+    EXPECT_EQ(fast.firings, ref.firings) << "seed " << seed;
+    EXPECT_EQ(fast.now_checkpoints, ref.now_checkpoints) << "seed " << seed;
+    EXPECT_EQ(fast.next_event_times, ref.next_event_times) << "seed " << seed;
+    EXPECT_EQ(fast.pending_checkpoints, ref.pending_checkpoints) << "seed " << seed;
+    EXPECT_EQ(fast.segment_counts, ref.segment_counts) << "seed " << seed;
+    EXPECT_EQ(fast.executed_total, ref.executed_total) << "seed " << seed;
+    EXPECT_EQ(fast.final_now, ref.final_now) << "seed " << seed;
+    // The world really exercised the lane: many same-time firings.
+    std::size_t same_time = 0;
+    for (std::size_t i = 1; i < fast.firings.size(); ++i) {
+      same_time += fast.firings[i].second == fast.firings[i - 1].second;
+    }
+    EXPECT_GT(same_time, fast.firings.size() / 4) << "seed " << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Targeted regressions for the slab/generation machinery.
+
+TEST(KernelEquivalence, ZeroDelayEventsFollowEarlierSameTimeHeapEntries) {
+  // B and C sit in the heap at t=100; B's zero-delay follow-up D joins the
+  // FIFO with a later sequence number, so C must still fire before D.
+  Simulator sim;
+  std::vector<char> order;
+  sim.at(50, [&] {
+    sim.at(100, [&] {
+      order.push_back('B');
+      sim.at(sim.now(), [&] { order.push_back('D'); });
+    });
+    sim.at(100, [&] { order.push_back('C'); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'B', 'C', 'D'}));
+}
+
+TEST(KernelEquivalence, CancelledZeroDelayEventsNeverFire) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(20, [&] {
+    EventHandle h = sim.at(sim.now(), [&order] { order.push_back(-1); });
+    EXPECT_EQ(sim.next_event_time(), 20u);
+    h.cancel();  // still queued in the FIFO lane
+    EXPECT_EQ(sim.next_event_time(), Simulator::kNoEventTime);
+    // Enough cancels to trigger stale compaction over the FIFO lane; the
+    // survivors must keep their order.
+    std::vector<EventHandle> hs;
+    for (int i = 0; i < 200; ++i) {
+      hs.push_back(sim.at(sim.now(), [&order, i] { order.push_back(i); }));
+    }
+    for (int i = 1; i < 200; i += 2) hs[i].cancel();
+  });
+  EXPECT_EQ(sim.run(), 101u);
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], 2 * i);
+  EXPECT_EQ(sim.pending(), 0u);
+}
 
 TEST(KernelEquivalence, EqualTimestampsFireInScheduleOrder) {
   Simulator sim;

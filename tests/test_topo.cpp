@@ -2,16 +2,13 @@
 // determinism, per-flow ordering, packet conservation across hops, a
 // determinism pin (event count + final time + metric snapshot hash)
 // mirroring test_event_count_determinism.cpp, and the zero-allocation
-// warm-path guard with trunks in the forwarding chain (this translation
-// unit builds into its own binary, so the counting operator-new hooks see
-// every allocation in the process).
+// warm-path guards with trunks in the forwarding chain (the counting
+// allocator of tests/support sees every allocation in the process).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <string>
 #include <tuple>
@@ -21,43 +18,11 @@
 #include "packet/headers.hpp"
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
+#include "support/alloc_counter.hpp"
 #include "topo/network.hpp"
 #include "topo/programs.hpp"
 #include "topo/routing.hpp"
 #include "workload/rack_coflow.hpp"
-
-namespace {
-std::uint64_t g_allocations = 0;  // every operator new (any variant)
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace adcp {
 namespace {
@@ -421,106 +386,125 @@ TEST(TopoDeterminism, EventCountTimeAndSnapshotHashPinned) {
 
 // --- zero-allocation warm path -------------------------------------------
 
-/// Steady-state cross-rack forwarding through two trunks must not allocate:
-/// pools feed the hosts, trunk hops reuse the pooled buffers, and the hops
-/// histogram is pre-reserved. Mirrors test_packet_pool's guard, with the
-/// multi-switch chain host -> leaf -> trunk -> spine -> trunk -> leaf -> host.
+/// What one zero-allocation guard run observed.
+struct WarmRun {
+  std::uint64_t allocations = 0;  ///< during the measured bursts
+  std::uint64_t host_tx = 0;
+  std::uint64_t host_rx = 0;
+  std::uint64_t reordered = 0;
+  std::size_t ring_size = 0;      ///< span ring occupancy (traced runs)
+  std::uint64_t ring_dropped = 0;
+};
+
+/// Steady-state cross-rack forwarding on a 2-leaf/2-spine fabric of `kind`
+/// with the fast path off, so every packet takes the slow path
+/// host -> leaf -> trunk -> spine -> trunk -> leaf -> host. Balanced
+/// bidirectional bursts of `elems`-element INC packets let each rack's
+/// pool reclaim what it spends; four warm bursts, then four measured ones.
+/// `traced` samples every flow into a 64-span ring that wraps while
+/// measured, so the record and overwrite-oldest paths are covered too.
+WarmRun run_warm_bursts(topo::SwitchKind kind, std::uint32_t elems, bool traced) {
+  sim::Simulator sim;
+  topo::LeafSpineParams p;
+  p.leaves = 2;
+  p.spines = 2;
+  p.hosts_per_leaf = 2;
+  p.kind = kind;
+  if (traced) {
+    p.trace.sample_every = 1;
+    p.trace.ring_capacity = 64;
+  }
+  topo::Network net(sim, p);
+  auto hosts = rack_hosts(net);
+
+  std::uint32_t seq = 0;
+  packet::IncPacketSpec spec;  // built once: its element vector is the test's own
+  spec.inc.opcode = packet::IncOpcode::kPlain;
+  for (std::uint32_t e = 0; e < elems; ++e) spec.inc.elements.push_back({e, 100 + e});
+  const auto burst = [&] {
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      spec.ip_src = hosts[0].ip;
+      spec.ip_dst = hosts[2].ip;
+      spec.inc.flow_id = 1;
+      spec.udp_src = workload::rack_flow_udp_src(1);
+      spec.inc.seq = seq;
+      hosts[0].host->send_inc(spec, 0);
+      spec.ip_src = hosts[2].ip;
+      spec.ip_dst = hosts[0].ip;
+      spec.inc.flow_id = 2;
+      spec.udp_src = workload::rack_flow_udp_src(2);
+      hosts[2].host->send_inc(spec, 0);
+      ++seq;
+    }
+    sim.run();
+  };
+
+  for (int warm = 0; warm < 4; ++warm) burst();
+  // Histograms keep every sample: pre-size them for the measured bursts.
+  net.hops().reserve(net.hops().count() + 256);
+  if (kind == topo::SwitchKind::kRtc) {
+    for (std::size_t i = 0; i < net.switch_count(); ++i) {
+      sim::Histogram& h = net.switch_scope(i).histogram("latency.residence_ps");
+      h.reserve(h.count() + 256);
+    }
+  }
+
+  WarmRun r;
+  const std::uint64_t before = test::allocations();
+  for (int measured = 0; measured < 4; ++measured) burst();
+  r.allocations = test::allocations() - before;
+  r.host_tx = net.total_host_tx_packets();
+  r.host_rx = net.total_host_rx_packets();
+  r.reordered = total_reordered(net);
+  if (traced) {
+    const std::vector<const sim::SpanBuffer*> bufs = net.span_buffers();
+    EXPECT_EQ(bufs.size(), 1u);
+    r.ring_size = bufs.at(0)->size();
+    r.ring_dropped = bufs.at(0)->dropped();
+  }
+  return r;
+}
+
+/// Zero-element payloads through RMT: the original trunk-chain guard.
 TEST(TopoZeroAlloc, SteadyStateTrunkForwardingDoesNotAllocate) {
-  sim::Simulator sim;
-  topo::LeafSpineParams p;
-  p.leaves = 2;
-  p.spines = 2;
-  p.hosts_per_leaf = 2;
-  p.kind = topo::SwitchKind::kRmt;
-  topo::Network net(sim, p);
-  auto hosts = rack_hosts(net);
-
-  std::uint32_t seq = 0;
-  // Balanced bidirectional traffic so each rack's pool reclaims what it
-  // spends. Zero-element INC payloads keep the decode path vector-free.
-  const auto burst = [&] {
-    packet::IncPacketSpec spec;
-    spec.inc.opcode = packet::IncOpcode::kPlain;
-    for (std::uint32_t i = 0; i < 8; ++i) {
-      spec.ip_src = hosts[0].ip;
-      spec.ip_dst = hosts[2].ip;
-      spec.inc.flow_id = 1;
-      spec.udp_src = workload::rack_flow_udp_src(1);
-      spec.inc.seq = seq;
-      hosts[0].host->send_inc(spec, 0);
-      spec.ip_src = hosts[2].ip;
-      spec.ip_dst = hosts[0].ip;
-      spec.inc.flow_id = 2;
-      spec.udp_src = workload::rack_flow_udp_src(2);
-      hosts[2].host->send_inc(spec, 0);
-      ++seq;
-    }
-    sim.run();
-  };
-
-  for (int warm = 0; warm < 4; ++warm) burst();
-  net.hops().reserve(net.hops().count() + 256);
-
-  const std::uint64_t before = g_allocations;
-  for (int measured = 0; measured < 4; ++measured) burst();
-  EXPECT_EQ(g_allocations - before, 0u)
-      << "steady-state trunk forwarding allocated " << (g_allocations - before) << " times";
-
-  EXPECT_EQ(net.total_host_rx_packets(), net.total_host_tx_packets());
-  EXPECT_EQ(total_reordered(net), 0u);
+  const WarmRun r = run_warm_bursts(topo::SwitchKind::kRmt, 0, false);
+  EXPECT_EQ(r.allocations, 0u)
+      << "steady-state trunk forwarding allocated " << r.allocations << " times";
+  EXPECT_EQ(r.host_rx, r.host_tx);
+  EXPECT_EQ(r.reordered, 0u);
 }
 
-/// The same steady-state guard with span tracing armed in flight-recorder
-/// mode: every flow sampled into a small ring that wraps during the
-/// measured bursts, so both the record path and the overwrite-oldest path
-/// are proven allocation-free.
-TEST(TopoZeroAlloc, TracingArmedFlightRecorderDoesNotAllocate) {
-  sim::Simulator sim;
-  topo::LeafSpineParams p;
-  p.leaves = 2;
-  p.spines = 2;
-  p.hosts_per_leaf = 2;
-  p.kind = topo::SwitchKind::kRmt;
-  p.trace.sample_every = 1;   // trace every packet
-  p.trace.ring_capacity = 64; // small: the ring must wrap while measured
-  topo::Network net(sim, p);
-  auto hosts = rack_hosts(net);
+/// The warm slow path of every switch model with 8-element payloads (PHV
+/// arrays, element decode at the hosts), untraced and with a wrapping span
+/// ring. A continuation that captures a PHV, or any per-packet vector,
+/// shows up here as allocations.
+class WarmSlowPath
+    : public ::testing::TestWithParam<std::tuple<topo::SwitchKind, bool>> {};
 
-  std::uint32_t seq = 0;
-  const auto burst = [&] {
-    packet::IncPacketSpec spec;
-    spec.inc.opcode = packet::IncOpcode::kPlain;
-    for (std::uint32_t i = 0; i < 8; ++i) {
-      spec.ip_src = hosts[0].ip;
-      spec.ip_dst = hosts[2].ip;
-      spec.inc.flow_id = 1;
-      spec.udp_src = workload::rack_flow_udp_src(1);
-      spec.inc.seq = seq;
-      hosts[0].host->send_inc(spec, 0);
-      spec.ip_src = hosts[2].ip;
-      spec.ip_dst = hosts[0].ip;
-      spec.inc.flow_id = 2;
-      spec.udp_src = workload::rack_flow_udp_src(2);
-      hosts[2].host->send_inc(spec, 0);
-      ++seq;
-    }
-    sim.run();
-  };
-
-  for (int warm = 0; warm < 4; ++warm) burst();
-  net.hops().reserve(net.hops().count() + 256);
-
-  const std::uint64_t before = g_allocations;
-  for (int measured = 0; measured < 4; ++measured) burst();
-  EXPECT_EQ(g_allocations - before, 0u)
-      << "traced trunk forwarding allocated " << (g_allocations - before) << " times";
-
-  ASSERT_EQ(net.span_buffers().size(), 1u);
-  const sim::SpanBuffer& buf = *net.span_buffers()[0];
-  EXPECT_EQ(buf.size(), 64u);        // ring full...
-  EXPECT_GT(buf.dropped(), 0u);      // ...and wrapped (flight recorder)
-  EXPECT_EQ(net.total_host_rx_packets(), net.total_host_tx_packets());
+TEST_P(WarmSlowPath, EightElementBurstsDoNotAllocate) {
+  const auto [kind, traced] = GetParam();
+  const WarmRun r = run_warm_bursts(kind, 8, traced);
+  EXPECT_EQ(r.allocations, 0u) << "warm slow path allocated " << r.allocations << " times";
+  EXPECT_EQ(r.host_rx, r.host_tx);
+  EXPECT_EQ(r.reordered, 0u);
+  if (traced) {
+    EXPECT_EQ(r.ring_size, 64u);     // ring full...
+    EXPECT_GT(r.ring_dropped, 0u);   // ...and wrapped (flight recorder)
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TopoZeroAlloc, WarmSlowPath,
+    ::testing::Combine(::testing::Values(topo::SwitchKind::kRmt, topo::SwitchKind::kAdcp,
+                                         topo::SwitchKind::kRtc),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<topo::SwitchKind, bool>>& info) {
+      const topo::SwitchKind kind = std::get<0>(info.param);
+      const char* name = kind == topo::SwitchKind::kRmt    ? "Rmt"
+                         : kind == topo::SwitchKind::kAdcp ? "Adcp"
+                                                           : "Rtc";
+      return std::string(name) + (std::get<1>(info.param) ? "Traced" : "Untraced");
+    });
 
 // --- span chains across the fabric ----------------------------------------
 
