@@ -3,11 +3,12 @@
 // The event kernel guarantees FIFO order at equal timestamps and a fully
 // deterministic run for a fixed input. These tests pin the exact event
 // count, final simulation time, and delivery counters of an 8-port
-// all-to-all forwarding run on both switch models. Any change to
+// all-to-all forwarding run on all three switch models. Any change to
 // scheduling order, slot reuse, packet pooling, or model timing that
 // perturbs the trajectory — even by one event — fails loudly here. The
-// constants were produced by the pre-pooling kernel and must survive any
-// future performance work unchanged.
+// RMT and ADCP constants were produced by the pre-pooling kernel, the RTC
+// ones by the switch models before they shared a chassis; all must survive
+// any future performance work or refactor unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +19,8 @@
 #include "packet/headers.hpp"
 #include "rmt/programs.hpp"
 #include "rmt/rmt_switch.hpp"
+#include "rtc/programs.hpp"
+#include "rtc/rtc_switch.hpp"
 #include "sim/simulator.hpp"
 
 namespace adcp {
@@ -78,6 +81,24 @@ TEST(EventCountDeterminism, AdcpAllToAllTrajectoryIsPinned) {
 
   EXPECT_EQ(sim.run(), 2522u);
   EXPECT_EQ(sim.now(), 590'480u);
+  std::uint64_t rx = 0;
+  for (std::uint32_t d = 0; d < 8; ++d) rx += fabric.host(d).rx_packets();
+  EXPECT_EQ(rx, 280u);
+  EXPECT_EQ(sw.stats().tx_packets, 280u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(EventCountDeterminism, RtcAllToAllTrajectoryIsPinned) {
+  sim::Simulator sim;
+  rtc::RtcConfig cfg;
+  cfg.port_count = 8;
+  rtc::RtcSwitch sw(sim, cfg);
+  sw.load_program(rtc::forward_program(cfg));
+  net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
+  send_all_to_all<rtc::RtcSwitch>(fabric);
+
+  EXPECT_EQ(sim.run(), 1433u);
+  EXPECT_EQ(sim.now(), 2'006'240u);
   std::uint64_t rx = 0;
   for (std::uint32_t d = 0; d < 8; ++d) rx += fabric.host(d).rx_packets();
   EXPECT_EQ(rx, 280u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/adcp_switch.hpp"
@@ -12,6 +13,8 @@
 #include "packet/headers.hpp"
 #include "rmt/programs.hpp"
 #include "rmt/rmt_switch.hpp"
+#include "rtc/programs.hpp"
+#include "rtc/rtc_switch.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tm/placement.hpp"
@@ -70,23 +73,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TmConservation, ::testing::Values(1, 2, 3, 7, 42
 
 // ------------------------------------------------- switch packet conservation
 
-class SwitchConservation : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SwitchConservation, RmtAccountsEveryPacket) {
-  sim::Rng rng(GetParam());
+/// Drives `sw` with a seeded mix (mostly incast to port 0, some spread,
+/// some unroutable) on small buffers, and checks that every packet either
+/// left or was dropped with a counted reason: nothing is resident after
+/// run() completes. `model_drops` adds the model's own drop sites.
+template <typename Switch, typename Config, typename Program, typename ModelDrops>
+void expect_conservation(std::uint64_t seed, const Config& cfg, Program program,
+                         ModelDrops model_drops) {
+  sim::Rng rng(seed);
   sim::Simulator sim;
-  rmt::RmtConfig cfg;
-  cfg.port_count = 8;
-  cfg.pipeline_count = 2;
-  cfg.tm_buffer_bytes = 16'384;  // small: drops occur under incast
-  rmt::RmtSwitch sw(sim, cfg);
-  sw.load_program(rmt::forward_program(cfg));
+  Switch sw(sim, cfg);
+  sw.load_program(std::move(program));
   net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
 
   constexpr std::uint64_t kPackets = 400;
   for (std::uint64_t i = 0; i < kPackets; ++i) {
     packet::IncPacketSpec spec;
-    // Mostly incast to port 0, some spread, some unroutable.
     const auto dice = rng.uniform(0, 9);
     spec.ip_dst = dice < 7 ? 0x0a000000
                            : (dice == 9 ? 0x0a0000c8  // host 200: no route
@@ -97,43 +99,43 @@ TEST_P(SwitchConservation, RmtAccountsEveryPacket) {
   }
   sim.run();
 
-  const rmt::RmtStats& st = sw.stats();
-  const std::uint64_t tm_drops = sw.traffic_manager().stats().dropped;
+  const auto st = sw.stats();
   EXPECT_EQ(st.rx_packets, kPackets);
-  // Every packet either left, was dropped by parsing/program/no-route, or
-  // was dropped by the TM. Nothing is resident after run() completes.
+  EXPECT_GT(model_drops(sw), 0u);  // the buffers are small enough to drop
   EXPECT_EQ(st.rx_packets, st.tx_packets + st.parse_drops + st.program_drops +
-                               st.no_route_drops + st.recirc_limit_drops + tm_drops);
+                               st.no_route_drops + model_drops(sw));
+}
+
+class SwitchConservation : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SwitchConservation, RmtAccountsEveryPacket) {
+  rmt::RmtConfig cfg;
+  cfg.port_count = 8;
+  cfg.pipeline_count = 2;
+  cfg.tm_buffer_bytes = 16'384;  // small: drops occur under incast
+  expect_conservation<rmt::RmtSwitch>(
+      GetParam(), cfg, rmt::forward_program(cfg), [](const rmt::RmtSwitch& sw) {
+        return sw.stats().recirc_limit_drops + sw.traffic_manager().stats().dropped;
+      });
 }
 
 TEST_P(SwitchConservation, AdcpAccountsEveryPacket) {
-  sim::Rng rng(GetParam());
-  sim::Simulator sim;
   core::AdcpConfig cfg;
   cfg.port_count = 8;
   cfg.tm2_buffer_bytes = 16'384;
-  core::AdcpSwitch sw(sim, cfg);
-  sw.load_program(core::forward_program(cfg));
-  net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
+  expect_conservation<core::AdcpSwitch>(
+      GetParam(), cfg, core::forward_program(cfg), [](core::AdcpSwitch& sw) {
+        return sw.tm1().stats().dropped + sw.tm2().stats().dropped;
+      });
+}
 
-  constexpr std::uint64_t kPackets = 400;
-  for (std::uint64_t i = 0; i < kPackets; ++i) {
-    packet::IncPacketSpec spec;
-    const auto dice = rng.uniform(0, 9);
-    spec.ip_dst = dice < 7 ? 0x0a000000
-                           : (dice == 9 ? 0x0a0000c8
-                                        : 0x0a000000 | rng.uniform(1, 7));
-    spec.inc.flow_id = rng.uniform(1, 5);
-    spec.pad_to = 300;
-    fabric.host(static_cast<std::size_t>(rng.uniform(0, 7))).send_inc(spec);
-  }
-  sim.run();
-
-  const core::AdcpStats& st = sw.stats();
-  const std::uint64_t tm_drops = sw.tm1().stats().dropped + sw.tm2().stats().dropped;
-  EXPECT_EQ(st.rx_packets, kPackets);
-  EXPECT_EQ(st.rx_packets, st.tx_packets + st.parse_drops + st.program_drops +
-                               st.no_route_drops + tm_drops);
+TEST_P(SwitchConservation, RtcAccountsEveryPacket) {
+  rtc::RtcConfig cfg;
+  cfg.port_count = 8;
+  cfg.dispatch_queue_packets = 64;  // small: the dispatcher tail-drops
+  expect_conservation<rtc::RtcSwitch>(
+      GetParam(), cfg, rtc::forward_program(cfg),
+      [](const rtc::RtcSwitch& sw) { return sw.stats().queue_drops; });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SwitchConservation, ::testing::Values(11, 22, 33));
