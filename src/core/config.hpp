@@ -47,9 +47,6 @@ struct AdcpConfig {
   /// power of two). Armed only when the installed program also provides a
   /// fastpath contract (DESIGN.md §13).
   std::uint32_t fastpath_entries = 0;
-  /// Emit an instant span per fast-path miss (attribution aid). Off by
-  /// default: miss spans would break the cache-on/off trace-equality gate.
-  bool fastpath_miss_spans = false;
 
   AdcpConfig() {
     // Central stages default to an array engine (§3.2); edge stages do not.

@@ -15,8 +15,10 @@ namespace adcp::net {
 /// Called when the last bit of `pkt` leaves TX `port`.
 using TxHandler = std::function<void(packet::PortId port, packet::Packet pkt)>;
 
-/// A switch as seen from its ports. Implemented by rmt::RmtSwitch,
-/// core::AdcpSwitch and rtc::RtcSwitch.
+/// A switch as seen from its ports. Implemented once, by chassis::Chassis
+/// (RX/TX serialization, drop accounting, the telemetry tap, TM admission,
+/// the flow fast path, multicast tables); rmt::RmtSwitch, core::AdcpSwitch
+/// and rtc::RtcSwitch derive from it and add only their datapaths.
 ///
 /// Canonical construction contract (all three models):
 ///
@@ -29,8 +31,6 @@ using TxHandler = std::function<void(packet::PortId port, packet::Packet pkt)>;
 ///    (sub-components hang off it: "<scope>.tm", "<scope>.pool", ...). A
 ///    detached scope (the default) falls back to a private registry whose
 ///    prefix is the model's own lowercase name: "rmt" / "adcp" / "rtc".
-///    (AdcpSwitch used "core" before the tier-profile redesign; see
-///    core::AdcpSwitch::kDeprecatedScopeFallback.)
 ///  * Construction is cheap: heavy state (stage register files, array
 ///    engines) is reserved, not materialized — it appears on first touch
 ///    (mat::RegisterFile), so building a fabric of thousands of switches

@@ -47,9 +47,6 @@ struct RmtConfig {
   /// disables the fast path entirely. Only armed when the installed
   /// program also supplies a fastpath contract (DESIGN.md §13).
   std::uint32_t fastpath_entries = 0;
-  /// Emit a kFastpathMiss span per verdict-cache miss (attribution aid;
-  /// off by default so traces stay byte-identical cache-on vs cache-off).
-  bool fastpath_miss_spans = false;
 
   [[nodiscard]] std::uint32_t ports_per_pipeline() const {
     assert(pipeline_count > 0 && port_count % pipeline_count == 0);

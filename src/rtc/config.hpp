@@ -36,9 +36,6 @@ struct RtcConfig {
   /// power of two). Armed only when the installed program also provides a
   /// fastpath contract (DESIGN.md §13).
   std::uint32_t fastpath_entries = 0;
-  /// Emit an instant span per fast-path miss (attribution aid). Off by
-  /// default: miss spans would break the cache-on/off trace-equality gate.
-  bool fastpath_miss_spans = false;
 
   /// Peak packet rate of the processor pool for a program costing
   /// `cycles_per_packet` (dispatch included).

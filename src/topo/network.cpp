@@ -5,6 +5,7 @@
 #include <chrono>
 #include <string>
 
+#include "chassis/chassis.hpp"
 #include "core/adcp_switch.hpp"
 #include "mat/state_accounting.hpp"
 #include "packet/headers.hpp"
@@ -161,16 +162,7 @@ void Network::export_construction(sim::Scope scope) const {
 }
 
 fastpath::FlowCacheStats Network::fastpath_stats_of(std::size_t i) const {
-  const net::SwitchDevice* device = switches_.at(i).device.get();
-  switch (kind_.at(i)) {
-    case SwitchKind::kRmt:
-      return static_cast<const rmt::RmtSwitch*>(device)->fastpath_stats();
-    case SwitchKind::kAdcp:
-      return static_cast<const core::AdcpSwitch*>(device)->fastpath_stats();
-    case SwitchKind::kRtc:
-      return static_cast<const rtc::RtcSwitch*>(device)->fastpath_stats();
-  }
-  return {};
+  return static_cast<const chassis::Chassis*>(switches_.at(i).device.get())->fastpath_stats();
 }
 
 fastpath::FlowCacheStats Network::fastpath_totals() const {
