@@ -72,10 +72,6 @@ Histogram& Scope::histogram(std::string_view name) const {
   return registry_->histogram(full(name));
 }
 
-Tracer Scope::tracer() const {
-  return registry_ != nullptr ? registry_->tracer(prefix_) : Tracer{};
-}
-
 SpanRecorder Scope::span_recorder() const {
   return registry_ != nullptr ? registry_->spans().recorder(prefix_) : SpanRecorder{};
 }
@@ -161,7 +157,6 @@ void MetricRegistry::reset() {
       case MetricKind::kHistogram: m.histogram->reset(); break;
     }
   }
-  trace_.clear();
   spans_.clear();
 }
 

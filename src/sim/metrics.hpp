@@ -22,7 +22,6 @@
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace adcp::sim {
 
@@ -61,10 +60,6 @@ class Scope {
   [[nodiscard]] Histogram& histogram(std::string_view name) const;
   /// Gauge payload with max-merge snapshot semantics (MetricKind::kWatermark).
   [[nodiscard]] Gauge& watermark(std::string_view name) const;
-
-  /// Tracer writing rows tagged with this scope's prefix as the component
-  /// column (see TraceLog).
-  [[nodiscard]] Tracer tracer() const;
 
   /// Span recorder bound to the registry's SpanBuffer under this scope's
   /// prefix (see span.hpp). Detached scope -> detached (no-op) recorder.
@@ -138,7 +133,7 @@ class Snapshot {
   std::vector<Entry> entries_;  // sorted by name (registry map order)
 };
 
-/// The registry proper. Owns every metric plus the shared TraceLog.
+/// The registry proper. Owns every metric plus the span flight recorder.
 /// Name lookup is a sorted map so snapshot order is deterministic for
 /// free; re-registering an existing (name, kind) returns the same object,
 /// which lets components that rebuild sub-parts (e.g. AdcpSwitch's TMs on
@@ -164,13 +159,6 @@ class MetricRegistry {
   }
   [[nodiscard]] std::size_t size() const { return metrics_.size(); }
 
-  /// Scoped tracer: rows carry `component` in their own column.
-  [[nodiscard]] Tracer tracer(std::string_view component) {
-    return trace_.tracer(component);
-  }
-  [[nodiscard]] TraceLog& trace() { return trace_; }
-  [[nodiscard]] const TraceLog& trace() const { return trace_; }
-
   /// The registry's span flight recorder (disabled until
   /// spans().enable(capacity); see span.hpp).
   [[nodiscard]] SpanBuffer& spans() { return spans_; }
@@ -184,7 +172,6 @@ class MetricRegistry {
   Metric& slot(std::string_view name, MetricKind kind);
 
   std::map<std::string, Metric, std::less<>> metrics_;
-  TraceLog trace_;
   SpanBuffer spans_;
 };
 

@@ -1,4 +1,4 @@
-// Tests for the IPv4 checksum utilities, the trace log, and config
+// Tests for the IPv4 checksum utilities, CSV field escaping, and config
 // validation.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include "packet/checksum.hpp"
 #include "packet/headers.hpp"
 #include "rmt/config.hpp"
-#include "sim/trace.hpp"
+#include "sim/span.hpp"
 
 namespace adcp {
 namespace {
@@ -52,88 +52,12 @@ TEST(Checksum, TruncatedPacketNeverValid) {
   EXPECT_FALSE(packet::verify_ipv4_checksum(pkt));
 }
 
-TEST(TraceLog, RecordsAndSerializes) {
-  sim::TraceLog log;
-  log.record(100, "tx", "port=3");
-  log.record(250, "drop", "reason=buffer");
-  EXPECT_EQ(log.size(), 2u);
-  const std::string csv = log.to_csv();
-  EXPECT_NE(csv.find("time_ps,component,event,detail"), std::string::npos);
-  // Shim-recorded rows carry the anonymous component (empty column).
-  EXPECT_NE(csv.find("100,,tx,port=3"), std::string::npos);
-  EXPECT_NE(csv.find("250,,drop,reason=buffer"), std::string::npos);
-}
-
-TEST(TraceLog, TracerStampsComponentColumn) {
-  sim::TraceLog log;
-  sim::Tracer tm = log.tracer("core0.tm1");
-  sim::Tracer pipe = log.tracer("core0.pipe2");
-  tm.record(10, "enqueue", "out=3");
-  pipe.record(20, "stall");
-  tm.record(30, "dequeue");
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.component_of(log.rows()[0]), "core0.tm1");
-  EXPECT_EQ(log.component_of(log.rows()[1]), "core0.pipe2");
-  EXPECT_EQ(log.component_of(log.rows()[2]), "core0.tm1");
-  // Same name interns to the same index.
-  EXPECT_EQ(log.rows()[0].component, log.rows()[2].component);
-  const std::string csv = log.to_csv();
-  EXPECT_NE(csv.find("10,core0.tm1,enqueue,out=3"), std::string::npos);
-  EXPECT_NE(csv.find("20,core0.pipe2,stall,"), std::string::npos);
-}
-
-TEST(TraceLog, DetachedTracerDropsRows) {
-  sim::Tracer t;
-  EXPECT_FALSE(t.attached());
-  t.record(1, "ignored");  // must not crash
-}
-
-// Regression for the pre-RFC-4180 serializer: a comma or quote in
-// event/detail used to shift every following column.
-TEST(TraceLog, CsvEscapesCommasQuotesAndNewlines) {
-  sim::TraceLog log;
-  log.record(5, "enqueue", "ports=1,2,3");
-  log.record(6, "note", "she said \"hi\"");
-  log.record(7, "multi", "line1\nline2");
-  const std::string csv = log.to_csv();
-  EXPECT_NE(csv.find("5,,enqueue,\"ports=1,2,3\""), std::string::npos);
-  EXPECT_NE(csv.find("6,,note,\"she said \"\"hi\"\"\""), std::string::npos);
-  EXPECT_NE(csv.find("7,,multi,\"line1\nline2\""), std::string::npos);
-
-  // Every data row must still split into exactly four fields when parsed
-  // with quote-aware splitting.
-  std::size_t row_start = csv.find('\n') + 1;
-  while (row_start < csv.size()) {
-    std::size_t fields = 1;
-    bool quoted = false;
-    std::size_t i = row_start;
-    for (; i < csv.size(); ++i) {
-      const char c = csv[i];
-      if (c == '"') {
-        quoted = !quoted;
-      } else if (c == ',' && !quoted) {
-        ++fields;
-      } else if (c == '\n' && !quoted) {
-        break;
-      }
-    }
-    EXPECT_EQ(fields, 4u);
-    row_start = i + 1;
-  }
-}
-
-TEST(TraceLog, CsvEscapePassesPlainFieldsThrough) {
+TEST(Csv, CsvEscapePassesPlainFieldsThrough) {
   EXPECT_EQ(sim::csv_escape("plain"), "plain");
   EXPECT_EQ(sim::csv_escape(""), "");
   EXPECT_EQ(sim::csv_escape("a,b"), "\"a,b\"");
   EXPECT_EQ(sim::csv_escape("q\"q"), "\"q\"\"q\"");
-}
-
-TEST(TraceLog, ClearEmpties) {
-  sim::TraceLog log;
-  log.record(1, "x");
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(sim::csv_escape("line1\nline2"), "\"line1\nline2\"");
 }
 
 TEST(ConfigValidation, RmtGoodConfigPasses) {

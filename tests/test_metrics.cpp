@@ -140,16 +140,6 @@ TEST(Scope, DetachedScopeFallsBackToPrivateRegistry) {
   EXPECT_EQ(kept.prefix(), "rmt0");
 }
 
-TEST(MetricRegistry, ScopedTracerSharesTheRegistryTraceLog) {
-  MetricRegistry reg;
-  Tracer t = reg.tracer("core0.tm1");
-  t.record(42, "enqueue", "out=1");
-  reg.scope("core0").scope("pipe2").tracer().record(50, "stall");
-  ASSERT_EQ(reg.trace().size(), 2u);
-  EXPECT_EQ(reg.trace().component_of(reg.trace().rows()[0]), "core0.tm1");
-  EXPECT_EQ(reg.trace().component_of(reg.trace().rows()[1]), "core0.pipe2");
-}
-
 TEST(TimeSeriesSampler, PollsOnSimulatedCadence) {
   Simulator sim;
   MetricRegistry reg;
@@ -196,55 +186,6 @@ TEST(TimeSeriesSampler, UnstartedSamplerSchedulesNothing) {
   EXPECT_EQ(sim.run(), 1u);  // only the explicit event; no sampler ticks
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sampler.times().empty());
-}
-
-// --- TraceLog ring bound ---------------------------------------------------
-
-TEST(TraceLog, UnboundedByDefaultKeepsEveryRow) {
-  TraceLog log;
-  for (int i = 0; i < 100; ++i) log.record(i, "e" + std::to_string(i));
-  EXPECT_EQ(log.capacity(), 0u);
-  EXPECT_EQ(log.size(), 100u);
-  EXPECT_EQ(log.dropped_rows(), 0u);
-}
-
-TEST(TraceLog, CapacityBoundsToRingAndCountsDrops) {
-  TraceLog log;
-  log.set_capacity(4);
-  Tracer t = log.tracer("tm");
-  for (int i = 0; i < 10; ++i) t.record(i, "e" + std::to_string(i));
-
-  // 10 records into a 4-row ring: the newest 4 survive, 6 were dropped.
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.dropped_rows(), 6u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(log.row(i).at, 6u + i);  // oldest-first logical order
-    EXPECT_EQ(log.row(i).event, "e" + std::to_string(6 + i));
-  }
-  // to_csv walks the ring oldest-first, not physical storage order.
-  const std::string csv = log.to_csv();
-  EXPECT_LT(csv.find("e6"), csv.find("e9"));
-  EXPECT_EQ(csv.find("e5"), std::string::npos);
-}
-
-TEST(TraceLog, ShrinkingCapacityKeepsNewestRows) {
-  TraceLog log;
-  for (int i = 0; i < 8; ++i) log.record(i, "e" + std::to_string(i));
-  log.set_capacity(3);
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.dropped_rows(), 5u);
-  EXPECT_EQ(log.row(0).at, 5u);
-  EXPECT_EQ(log.row(2).at, 7u);
-
-  // Growing the bound back keeps the surviving rows and resumes appending.
-  log.set_capacity(5);
-  log.record(100, "late");
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.row(3).event, "late");
-
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.dropped_rows(), 0u);
 }
 
 // --- Snapshot::merge edge cases -------------------------------------------
@@ -330,12 +271,10 @@ TEST(MetricRegistry, ResetZeroesEverything) {
   reg.counter("c").add(5);
   reg.gauge("g").set(2.0);
   reg.histogram("h").record(1.0);
-  reg.tracer("x").record(1, "e");
   reg.reset();
   EXPECT_EQ(reg.snapshot().value("c"), 0.0);
   EXPECT_EQ(reg.snapshot().value("g"), 0.0);
   EXPECT_EQ(reg.snapshot().find("h")->count, 0u);
-  EXPECT_EQ(reg.trace().size(), 0u);
 }
 
 }  // namespace
