@@ -8,14 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
+#include "core/adcp_switch.hpp"
+#include "core/programs.hpp"
 #include "packet/deparser.hpp"
+#include "packet/fields.hpp"
 #include "packet/headers.hpp"
 #include "packet/parser.hpp"
 #include "packet/pool.hpp"
 #include "pipeline/pipeline.hpp"
+#include "rmt/programs.hpp"
+#include "rmt/rmt_switch.hpp"
+#include "rtc/rtc_switch.hpp"
 #include "sim/metrics.hpp"
+#include "sim/simulator.hpp"
 #include "support/alloc_counter.hpp"
 #include "tm/traffic_manager.hpp"
 
@@ -194,6 +202,58 @@ TEST(PacketPool, RegistryBackedMetricsDoNotAllocateOnWarmChain) {
   EXPECT_EQ(snap.value("rmt0.tm.dequeued"), 1064.0);
   EXPECT_EQ(snap.value("rmt0.pool.released"), 2 * 1064.0);
   EXPECT_EQ(snap.value("rmt0.tm.drops.admission"), 0.0);
+}
+
+/// Multicast through a warm standalone switch: one 8-element kGroupXfer
+/// packet at a time into port 0, fanned out to a 3-port group, with the
+/// TX handler returning every replica to the switch pool. Replicas are
+/// pooled copies and the template goes back to the pool, so after 64
+/// warm-up packets the next 256 allocate nothing.
+template <typename Switch, typename Config, typename Program>
+std::uint64_t warm_multicast_allocations(const Config& cfg, Program program) {
+  sim::Simulator sim;
+  Switch sw(sim, cfg);
+  sw.load_program(std::move(program));
+  sw.set_multicast_group(3, {1, 2, 3});
+  sw.set_tx_handler([&sw](PortId, Packet pkt) { sw.pool().release(std::move(pkt)); });
+
+  IncPacketSpec spec;
+  spec.inc.opcode = IncOpcode::kGroupXfer;
+  spec.inc.worker_id = 3;  // the group
+  for (std::uint32_t e = 0; e < 8; ++e) spec.inc.elements.push_back({e, 100 + e});
+  const auto send = [&] {
+    Packet pkt = sw.pool().acquire();
+    make_inc_packet_into(spec, pkt);
+    sw.inject(0, std::move(pkt));
+    sim.run();
+  };
+  for (int i = 0; i < 64; ++i) send();
+  // Histograms keep every sample (RTC residence time): pre-size them.
+  const std::string latency = sw.metric_scope().prefix() + ".latency.residence_ps";
+  if (sw.metrics().contains(latency)) sw.metrics().histogram(latency).reserve(512);
+  const std::uint64_t before = test::allocations();
+  for (int i = 0; i < 256; ++i) send();
+  return test::allocations() - before;
+}
+
+TEST(PacketPool, WarmMulticastDoesNotAllocateOnAnyModel) {
+  rmt::RmtConfig rc;
+  rc.port_count = 8;
+  EXPECT_EQ(warm_multicast_allocations<rmt::RmtSwitch>(rc, rmt::group_comm_program(rc)), 0u);
+
+  core::AdcpConfig ac;
+  ac.port_count = 8;
+  EXPECT_EQ(warm_multicast_allocations<core::AdcpSwitch>(ac, core::group_comm_program(ac)),
+            0u);
+
+  rtc::RtcConfig tc;
+  tc.port_count = 8;
+  rtc::RtcProgram group_comm;
+  group_comm.run = [](Phv& phv, rtc::SharedState&, const rtc::RtcConfig&) -> std::uint64_t {
+    phv.set(fields::kMetaMulticastGroup, phv.get_or(fields::kIncWorkerId, 0));
+    return 60;
+  };
+  EXPECT_EQ(warm_multicast_allocations<rtc::RtcSwitch>(tc, std::move(group_comm)), 0u);
 }
 
 }  // namespace
