@@ -49,24 +49,6 @@ bool TrafficManager::enqueue(std::uint32_t output, std::uint32_t klass, packet::
   return true;
 }
 
-std::size_t TrafficManager::enqueue_multicast(std::span<const std::uint32_t> outputs,
-                                              std::uint32_t klass, const packet::Packet& pkt) {
-  std::size_t copies = 0;
-  for (const std::uint32_t out : outputs) {
-    // Build each replica in a recycled packet when a pool is attached, so
-    // multicast fan-out reuses retired buffers instead of allocating.
-    packet::Packet copy = pool_ ? pool_->acquire() : packet::Packet{};
-    copy.data = pkt.data;
-    copy.meta = pkt.meta;
-    copy.meta.egress_ports.clear();
-    if (enqueue(out, klass, std::move(copy))) {
-      ++copies;
-      metrics_.multicast_copies.add();
-    }
-  }
-  return copies;
-}
-
 std::optional<packet::Packet> TrafficManager::dequeue(std::uint32_t output) {
   std::optional<packet::Packet> pkt = schedulers_.at(output)->dequeue();
   if (pkt) {

@@ -184,6 +184,7 @@ TEST(RmtSwitch, MulticastFromIngressReachesAllPipelines) {
   for (std::uint32_t h = 0; h < 16; ++h) {
     EXPECT_EQ(fabric.host(h).rx_packets(), 1u) << "host " << h;
   }
+  EXPECT_EQ(sw.traffic_manager().stats().multicast_copies, 16u);
 }
 
 TEST(RmtSwitch, TmSharedBufferDropsUnderOversubscription) {

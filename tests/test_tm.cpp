@@ -272,17 +272,6 @@ TEST(TrafficManager, BufferReleasedOnDequeue) {
   EXPECT_EQ(tm.buffer().used(), 0u);
 }
 
-TEST(TrafficManager, MulticastReplicatesAndCharges) {
-  TrafficManager tm(small_tm(4, 1 << 20));
-  const std::vector<std::uint32_t> outs = {0, 2, 3};
-  EXPECT_EQ(tm.enqueue_multicast(outs, 0, make_pkt(1, 0)), 3u);
-  EXPECT_EQ(tm.stats().multicast_copies, 3u);
-  EXPECT_EQ(tm.output_packets(0), 1u);
-  EXPECT_EQ(tm.output_packets(1), 0u);
-  EXPECT_EQ(tm.output_packets(2), 1u);
-  EXPECT_EQ(tm.buffer().used(), 3 * packet::inc_packet_bytes(1));
-}
-
 TEST(TrafficManager, CustomSchedulerFactory) {
   TmConfig c = small_tm(1, 1 << 20);
   c.make_scheduler = [](std::uint32_t) {
