@@ -28,11 +28,11 @@ double wall_ms() {
 /// otherwise the routing program's own copies are used (legacy full
 /// profile — every switch owns its graphs). A non-null `sketch` arms the
 /// PRECISION heavy-hitter program alongside routing (telemetry.sketch).
-std::unique_ptr<net::SwitchDevice> make_switch(sim::Simulator& sim,
-                                               const SwitchTemplate& tmpl, bool share,
-                                               std::shared_ptr<const ForwardingTable> fib,
-                                               sim::Scope scope,
-                                               telem::HeavyHitterSketch* sketch) {
+std::unique_ptr<chassis::Chassis> make_switch(sim::Simulator& sim, const SwitchTemplate& tmpl,
+                                              bool share,
+                                              std::shared_ptr<const ForwardingTable> fib,
+                                              sim::Scope scope,
+                                              telem::HeavyHitterSketch* sketch) {
   switch (tmpl.kind) {
     case SwitchKind::kRmt: {
       auto sw = std::make_unique<rmt::RmtSwitch>(sim, tmpl.rmt, std::move(scope));
@@ -71,53 +71,33 @@ std::unique_ptr<net::SwitchDevice> make_switch(sim::Simulator& sim,
 }  // namespace
 
 Network::Network(sim::Simulator& sim, const LeafSpineParams& params, sim::Scope scope)
-    : profile_(params.profile) {
-  begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init(sim, std::move(scope));
-  trunk_rng_ = sim::Rng(params.loss_seed ^ 0x7210'6b5eULL);
-  build_leaf_spine(params);
-  finish_wiring();
-  end_build();
-}
+    : Network(params, &sim, nullptr, std::move(scope)) {}
 
 Network::Network(sim::Simulator& sim, const FatTreeParams& params, sim::Scope scope)
-    : profile_(params.profile) {
-  begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init(sim, std::move(scope));
-  trunk_rng_ = sim::Rng(params.loss_seed ^ 0x7210'6b5eULL);
-  build_fat_tree(params);
-  finish_wiring();
-  end_build();
-}
+    : Network(params, &sim, nullptr, std::move(scope)) {}
 
 Network::Network(sim::ParallelSimulator& psim, const LeafSpineParams& params)
-    : profile_(params.profile) {
-  begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init_parallel(psim);
-  split_hosts_ =
-      params.host_shards_per_switch > 0 && params.host_link.propagation > 0;
-  loss_seed_base_ = params.loss_seed ^ 0x7210'6b5eULL;
-  build_leaf_spine(params);
-  finish_wiring();
-  end_build();
-}
+    : Network(params, nullptr, &psim, {}) {}
 
 Network::Network(sim::ParallelSimulator& psim, const FatTreeParams& params)
-    : profile_(params.profile) {
+    : Network(params, nullptr, &psim, {}) {}
+
+template <typename Params>
+Network::Network(const Params& params, sim::Simulator* sim, sim::ParallelSimulator* psim,
+                 sim::Scope scope)
+    : psim_(psim),
+      profile_(params.profile),
+      loss_seed_(params.loss_seed ^ 0x7210'6b5eULL),
+      trace_cfg_(params.trace),
+      sampler_(trace_cfg_),
+      control_channel_(params.control_channel) {
   begin_build();
-  trace_cfg_ = params.trace;
-  sampler_ = sim::TraceSampler(trace_cfg_);
-  init_parallel(psim);
-  split_hosts_ =
-      params.host_shards_per_switch > 0 && params.host_link.propagation > 0;
-  loss_seed_base_ = params.loss_seed ^ 0x7210'6b5eULL;
-  build_fat_tree(params);
+  scope_ = sim::resolve_scope(std::move(scope), own_metrics_, "topo");
+  // The monolithic build is the one-shard case: the caller's simulator
+  // under the network scope. The sharded build's network registry carries
+  // only the finalize_metrics() gauges; its shards are allocated per switch.
+  if (sim != nullptr) add_shard(*sim, scope_);
+  build(params);
   finish_wiring();
   end_build();
 }
@@ -162,7 +142,7 @@ void Network::export_construction(sim::Scope scope) const {
 }
 
 fastpath::FlowCacheStats Network::fastpath_stats_of(std::size_t i) const {
-  return static_cast<const chassis::Chassis*>(switches_.at(i).device.get())->fastpath_stats();
+  return switches_.at(i).device->fastpath_stats();
 }
 
 fastpath::FlowCacheStats Network::fastpath_totals() const {
@@ -191,36 +171,22 @@ void Network::export_fastpath(sim::Scope scope) const {
                                    static_cast<double>(probes));
 }
 
-void Network::init(sim::Simulator& sim, sim::Scope scope) {
-  sim_ = &sim;
-  scope_ = sim::resolve_scope(scope, own_metrics_, "topo");
-  hops_ = &scope_.histogram("hops");
+std::size_t Network::add_shard(sim::Simulator& sim, sim::Scope topo) {
   // Arm the flight recorder before any component interns a recorder so
-  // everything built below records from the first packet.
-  if (trace_cfg_.enabled()) scope_.registry()->spans().enable(trace_cfg_.ring_capacity);
+  // everything built on the shard records from the first packet.
+  if (trace_cfg_.enabled()) topo.registry()->spans().enable(trace_cfg_.ring_capacity);
+  // Every shard registers the shared "topo.hops" name; merged_snapshot()
+  // folds the per-shard sample sets back into one histogram.
+  sim::Histogram& hops = topo.histogram("hops");
+  shards_.push_back({&sim, std::move(topo), &hops});
+  return shards_.size() - 1;
 }
 
-void Network::init_parallel(sim::ParallelSimulator& psim) {
-  psim_ = &psim;
-  // The network-level registry only carries the finalize_metrics() gauges;
-  // everything shard-owned lives in shard_regs_ and is folded back in by
-  // merged_snapshot().
-  scope_ = sim::resolve_scope({}, own_metrics_, "topo");
-}
-
-/// Appends one shard with its own registry (spans armed when tracing) and
-/// "topo.hops" histogram; returns the shard's Simulator. Every shard
-/// registers the shared histogram name; merged_snapshot() folds the
-/// per-shard sample sets back into one "topo.hops".
-sim::Simulator& Network::add_shard_registry(sim::Scope& parent_out) {
+std::size_t Network::allocate_shard() {
+  if (psim_ == nullptr) return 0;
   sim::Simulator& shard = psim_->add_shard();
   shard_regs_.push_back(std::make_unique<sim::MetricRegistry>());
-  if (trace_cfg_.enabled()) {
-    shard_regs_.back()->spans().enable(trace_cfg_.ring_capacity);
-  }
-  parent_out = shard_regs_.back()->scope("topo");
-  shard_hops_.push_back(&parent_out.histogram("hops"));
-  return shard;
+  return add_shard(shard, shard_regs_.back()->scope("topo"));
 }
 
 Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_count,
@@ -228,31 +194,20 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
                                          std::size_t host_count, net::Link host_link,
                                          std::uint64_t loss_seed) {
   const std::size_t i = switches_.size();
-  sim::Simulator* sw_sim = sim_;
-  sim::Simulator* host_sim = sim_;
-  sim::Scope parent = scope_;
-  sim::Scope host_parent = scope_;
-  if (psim_ != nullptr) {
-    switch_shard_.push_back(psim_->shard_count());
-    sw_sim = &add_shard_registry(parent);
-    if (split_hosts_ && host_count > 0) {
-      // The hosts of this switch get their own shard: their events (NIC
-      // pacing, rx accounting) are the bulk of the work on incast-heavy
-      // scenarios, and splitting them off lets the partitioner balance
-      // workers instead of pinning a whole rack to one thread.
-      host_shard_.push_back(psim_->shard_count());
-      host_sim = &add_shard_registry(host_parent);
-    } else {
-      host_shard_.push_back(switch_shard_.back());
-      host_sim = sw_sim;
-      host_parent = parent;
-    }
-  }
+  switch_shard_.push_back(allocate_shard());
+  // Hosts get a shard of their own when the access link's propagation can
+  // serve as the cut's lookahead: their events (NIC pacing, rx accounting)
+  // are the bulk of the work on incast-heavy scenarios, and splitting them
+  // off lets the partitioner balance workers instead of pinning a whole
+  // rack to one thread.
+  host_shard_.push_back(host_count > 0 && host_link.propagation > 0 ? allocate_shard()
+                                                                    : switch_shard_.back());
+  const Shard& sw_shard = shards_[switch_shard_.back()];
+  const Shard& host_shard = shards_[host_shard_.back()];
   kind_.push_back(kind);
   ctrl_ip_.push_back(0);
   mgmt_port_.push_back(packet::kInvalidPort);
-  sim::Scope sw_scope = parent.scope("sw" + std::to_string(i));
-  sim::Scope host_scope = host_parent.scope("sw" + std::to_string(i));
+  const std::string name = "sw" + std::to_string(i);
   // The heavy-hitter sketch is per switch (one stage memory) with a
   // per-switch lottery stream; the routing program shares the object.
   telem::HeavyHitterSketch* sketch = nullptr;
@@ -268,102 +223,74 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
   }
   SwitchSlot slot;
   const SwitchTemplate& tmpl = template_for(kind, port_count);
-  slot.device =
-      make_switch(*sw_sim, tmpl, profile_.share_templates, fib, sw_scope, sketch);
+  slot.device = make_switch(*sw_shard.sim, tmpl, profile_.share_templates, fib,
+                            sw_shard.topo.scope(name), sketch);
   // The fabric (hosts + pool) lives on the host shard; its TX dispatch
   // closure still runs on the switch shard but only routes — per-host
   // state is reached through the mailbox taps wired in finish_wiring().
-  slot.fabric = std::make_unique<net::Fabric>(*host_sim, *slot.device, host_link,
-                                              loss_seed, host_scope, host_count);
+  slot.fabric = std::make_unique<net::Fabric>(*host_shard.sim, *slot.device, host_link,
+                                              loss_seed, host_shard.topo.scope(name),
+                                              host_count);
   slot.fib = std::move(fib);
   switches_.push_back(std::move(slot));
   return switches_.back();
 }
 
-std::size_t Network::switch_index_of(const net::SwitchDevice* device) const {
-  for (std::size_t i = 0; i < switches_.size(); ++i) {
-    if (switches_[i].device.get() == device) return i;
-  }
-  assert(false && "trunk endpoint is not a switch of this network");
-  return 0;
-}
-
-std::size_t Network::add_trunk(Trunk::End a, Trunk::End b, net::Link link) {
-  if (psim_ != nullptr) {
-    const std::size_t i = strunks_.size();
-    const std::size_t ai = switch_index_of(a.device);
-    const std::size_t bi = switch_index_of(b.device);
-    const std::string name = "topo.trunk" + std::to_string(i);
-    auto st = std::make_unique<ShardedTrunk>();
-    st->link = link;
-    // Mailbox ids follow trunk creation order, a-side first, so the
-    // barrier's (time, mailbox, seq) injection order is (time, trunk,
-    // direction, fifo) — fixed by the topology, not by thread timing.
-    const std::size_t as = switch_shard_[ai];
-    const std::size_t bs = switch_shard_[bi];
-    st->ab.to = b;
-    st->ab.link = link;
-    st->ab.src_sim = &psim_->shard(as);
-    st->ab.mailbox = &psim_->add_mailbox(as, bs, link.propagation);
-    st->ab.rng = sim::Rng(tm::placement::mix(loss_seed_base_ ^ (2 * i)));
-    // Dropped packets recycle into the sending switch's fabric pool — but
-    // only when that pool lives on the same shard. With split hosts the
-    // pool belongs to the host shard, and releasing across the cut would
-    // race; dropping the packet on the floor is correct (pools are an
-    // allocation optimization, not an accounting surface).
-    st->ab.drop_pool = host_shard_[ai] == as ? &switches_[ai].fabric->pool() : nullptr;
-    sim::Scope sa = shard_regs_[as]->scope(name);
-    st->ab.packets = &sa.counter("ab.packets");
-    st->ab.bytes = &sa.counter("ab.bytes");
-    st->ab.drops = &sa.counter("drops.link");
-    st->ab.spans = sa.span_recorder();
-    st->ab.side = 0;
-    st->ba.to = a;
-    st->ba.link = link;
-    st->ba.src_sim = &psim_->shard(bs);
-    st->ba.mailbox = &psim_->add_mailbox(bs, as, link.propagation);
-    st->ba.rng = sim::Rng(tm::placement::mix(loss_seed_base_ ^ (2 * i + 1)));
-    st->ba.drop_pool = host_shard_[bi] == bs ? &switches_[bi].fabric->pool() : nullptr;
-    sim::Scope sb = shard_regs_[bs]->scope(name);
-    st->ba.packets = &sb.counter("ba.packets");
-    st->ba.bytes = &sb.counter("ba.bytes");
-    st->ba.drops = &sb.counter("drops.link");
-    st->ba.spans = sb.span_recorder();
-    st->ba.side = 1;
-    strunks_.push_back(std::move(st));
-    return i;
-  }
-  const std::size_t i = trunks_.size();
-  // Dropped trunk packets recycle into the pool of the lower-tier fabric
-  // (the rack that sourced or will sink most of its traffic).
-  packet::Pool* pool = nullptr;
-  for (SwitchSlot& s : switches_) {
-    if (s.device.get() == a.device) pool = &s.fabric->pool();
-  }
-  trunks_.push_back(std::make_unique<Trunk>(*sim_, a, b, link, &trunk_rng_, pool,
-                                            scope_.scope("trunk" + std::to_string(i))));
+std::size_t Network::add_trunk(std::size_t a, packet::PortId a_port, std::size_t b,
+                              packet::PortId b_port, net::Link link) {
+  const std::size_t i = trunk_count();
+  const std::string name = "trunk" + std::to_string(i);
+  const auto add_direction = [&](std::uint64_t side, std::size_t from, packet::PortId from_port,
+                                 std::size_t to, packet::PortId to_port) {
+    const std::size_t src = switch_shard_[from];
+    const std::size_t dst = switch_shard_[to];
+    Wire& w = wires_.emplace_back();
+    w.from = from;
+    w.from_port = from_port;
+    w.to = switches_[to].device.get();
+    w.to_port = to_port;
+    w.side = side;
+    w.link = link;
+    w.sim = shards_[src].sim;
+    w.mailbox = src == dst ? nullptr : &psim_->add_mailbox(src, dst, link.propagation);
+    if (link.loss_rate > 0.0) {
+      w.rng = std::make_unique<sim::Rng>(tm::placement::mix(loss_seed_ ^ (2 * i + side)));
+    }
+    w.drop_pool = &switches_[from].device->pool();
+    sim::Scope scope = shards_[src].topo.scope(name);
+    w.packets = &scope.counter(side == 0 ? "ab.packets" : "ba.packets");
+    w.bytes = &scope.counter(side == 0 ? "ab.bytes" : "ba.bytes");
+    w.drops = &scope.counter("drops.link");
+    w.spans = scope.span_recorder();
+  };
+  // Mailbox ids follow trunk creation order, a-side first, so the
+  // barrier's (time, mailbox, seq) injection order is (time, trunk,
+  // direction, fifo) — fixed by the topology, not by thread timing.
+  add_direction(0, a, a_port, b, b_port);
+  add_direction(1, b, b_port, a, a_port);
   return i;
 }
 
-void Network::ShardedHalf::forward(packet::Packet pkt) {
+void Network::Wire::forward(packet::Packet pkt) {
   packets->add();
   bytes->add(pkt.size());
-  if (link.loss_rate > 0.0 && rng.chance(link.loss_rate)) {
+  if (rng != nullptr && rng->chance(link.loss_rate)) {
     drops->add();
-    spans.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, src_sim->now(),
+    spans.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sim->now(),
                   static_cast<std::uint64_t>(sim::DropReason::kLink));
-    if (drop_pool != nullptr) drop_pool->release(std::move(pkt));
+    drop_pool->release(std::move(pkt));
     return;
   }
-  // Wire span in the sending shard's buffer; same [begin, end] and side
-  // annotation as Trunk::forward, so sequential and parallel traces agree.
-  spans.span(sim::SpanKind::kTrunk, pkt.meta.trace_id, src_sim->now(),
-             src_sim->now() + link.propagation, side, pkt.size());
-  Trunk::End* dst = &to;
-  mailbox->push(src_sim->now() + link.propagation,
-                [dst, pkt = std::move(pkt)]() mutable {
-                  dst->device->inject(dst->port, std::move(pkt));
-                });
+  const sim::Time arrival = sim->now() + link.propagation;
+  spans.span(sim::SpanKind::kTrunk, pkt.meta.trace_id, sim->now(), arrival, side, pkt.size());
+  auto deliver = [w = this, pkt = std::move(pkt)]() mutable {
+    w->to->inject(w->to_port, std::move(pkt));
+  };
+  if (mailbox != nullptr) {
+    mailbox->push(arrival, std::move(deliver));
+  } else {
+    sim->at(arrival, std::move(deliver));
+  }
 }
 
 void Network::HostTap::deliver(packet::Packet pkt) {
@@ -386,12 +313,11 @@ void Network::HostTap::deliver(packet::Packet pkt) {
   });
 }
 
-void Network::build_leaf_spine(const LeafSpineParams& p) {
+void Network::build(const LeafSpineParams& p) {
   assert(p.leaves > 0 && p.spines > 0 && p.hosts_per_leaf > 0);
   assert(p.leaves <= 256 && p.hosts_per_leaf <= 256);
   assert(!(p.control_channel && p.hosts_per_leaf > 255) &&
          "host address 255 is the control address");
-  control_channel_ = p.control_channel;
   const std::uint32_t L = p.leaves;
   const std::uint32_t S = p.spines;
   const std::uint32_t H = p.hosts_per_leaf;
@@ -434,19 +360,16 @@ void Network::build_leaf_spine(const LeafSpineParams& p) {
   ecmp_groups_.resize(L);
   for (std::uint32_t l = 0; l < L; ++l) {
     for (std::uint32_t s = 0; s < S; ++s) {
-      ecmp_groups_[l].push_back(add_trunk({switches_[l].device.get(), H + s},
-                                          {switches_[L + s].device.get(), l},
-                                          p.trunk_link));
+      ecmp_groups_[l].push_back(add_trunk(l, H + s, L + s, l, p.trunk_link));
     }
   }
 }
 
-void Network::build_fat_tree(const FatTreeParams& p) {
+void Network::build(const FatTreeParams& p) {
   assert(p.k >= 2 && p.k % 2 == 0 && p.k <= 16);
   const std::uint32_t k = p.k;
   const std::uint32_t half = k / 2;
   const std::uint32_t edges = k * half;   // also the aggregation count
-  const std::uint32_t cores = half * half;
   const auto edge_index = [half](std::uint32_t pod, std::uint32_t e) { return pod * half + e; };
   const auto agg_index = [edges, half](std::uint32_t pod, std::uint32_t a) {
     return edges + pod * half + a;
@@ -455,7 +378,6 @@ void Network::build_fat_tree(const FatTreeParams& p) {
     return 2 * edges + i * half + j;
   };
   std::uint64_t seed = p.loss_seed;
-  control_channel_ = p.control_channel;
   // Control channel: management port k on every edge; the aggregation /24
   // and core /16 prefixes already route the control address down.
   // Telemetry arms a management port on every tier (see build_leaf_spine).
@@ -507,7 +429,6 @@ void Network::build_fat_tree(const FatTreeParams& p) {
       if (armed) mgmt_port_.back() = k;
     }
   }
-  (void)cores;
 
   // Edge <-> aggregation inside each pod; aggregation <-> core across pods.
   ecmp_groups_.resize(edges + edges);
@@ -515,16 +436,14 @@ void Network::build_fat_tree(const FatTreeParams& p) {
     for (std::uint32_t e = 0; e < half; ++e) {
       for (std::uint32_t a = 0; a < half; ++a) {
         ecmp_groups_[edge_index(pod, e)].push_back(
-            add_trunk({switches_[edge_index(pod, e)].device.get(), half + a},
-                      {switches_[agg_index(pod, a)].device.get(), e}, p.trunk_link));
+            add_trunk(edge_index(pod, e), half + a, agg_index(pod, a), e, p.trunk_link));
       }
     }
     for (std::uint32_t i = 0; i < half; ++i) {
       for (std::uint32_t j = 0; j < half; ++j) {
         // agg_index already lands in [edges, 2*edges) — the agg group slab.
         ecmp_groups_[agg_index(pod, i)].push_back(
-            add_trunk({switches_[agg_index(pod, i)].device.get(), half + j},
-                      {switches_[core_index(i, j)].device.get(), pod}, p.trunk_link));
+            add_trunk(agg_index(pod, i), half + j, core_index(i, j), pod, p.trunk_link));
       }
     }
   }
@@ -544,99 +463,76 @@ void Network::finish_wiring() {
     // control updates into switch-owned state without crossing the cut.
     // The packet is dropped on the floor after the sink: with split hosts
     // the fabric pool lives on the host shard, and pools are an allocation
-    // optimization, not an accounting surface.
+    // optimization, not an accounting surface. Every other hostless port
+    // transmits onto its trunk wire.
     const packet::PortId mgmt = mgmt_port_[i];
     std::function<void(const packet::Packet&)>* sink =
         mgmt != packet::kInvalidPort ? &ctrl_sinks_[i] : nullptr;
-    if (psim_ != nullptr) {
-      std::vector<ShardedHalf*> map(slot.device->port_count(), nullptr);
-      for (const auto& st : strunks_) {
-        if (st->ba.to.device == slot.device.get()) map[st->ba.to.port] = &st->ab;
-        if (st->ab.to.device == slot.device.get()) map[st->ab.to.port] = &st->ba;
-      }
-      slot.fabric->set_default_tx([map = std::move(map), mgmt, sink](
-                                      packet::PortId port, packet::Packet pkt) {
-        if (port == mgmt && sink != nullptr) {
-          if (*sink) (*sink)(pkt);
-          return;
-        }
-        if (port < map.size() && map[port] != nullptr) {
-          map[port]->forward(std::move(pkt));
-        }
-      });
-    } else {
-      std::vector<std::pair<Trunk*, int>> map(slot.device->port_count(), {nullptr, 0});
-      for (const auto& t : trunks_) {
-        if (t->a().device == slot.device.get()) map[t->a().port] = {t.get(), 0};
-        if (t->b().device == slot.device.get()) map[t->b().port] = {t.get(), 1};
-      }
-      slot.fabric->set_default_tx([map = std::move(map), mgmt, sink](
-                                      packet::PortId port, packet::Packet pkt) {
-        if (port == mgmt && sink != nullptr) {
-          if (*sink) (*sink)(pkt);
-          return;
-        }
-        if (port < map.size() && map[port].first != nullptr) {
-          map[port].first->forward(map[port].second, std::move(pkt));
-        }
-      });
+    std::vector<Wire*> map(slot.device->port_count(), nullptr);
+    for (Wire& w : wires_) {
+      if (w.from == i) map[w.from_port] = &w;
     }
+    slot.fabric->set_default_tx([map = std::move(map), mgmt, sink](packet::PortId port,
+                                                                   packet::Packet pkt) {
+      if (port == mgmt && sink != nullptr) {
+        if (*sink) (*sink)(pkt);
+        return;
+      }
+      if (port < map.size() && map[port] != nullptr) map[port]->forward(std::move(pkt));
+    });
   }
 
-  // Split hosts: install the cross-shard taps. Every hosted switch gets
-  // one mailbox pair (up: host shard -> switch shard, down: the reverse)
-  // whose conservative latency is the access link's propagation delay; the
-  // per-host taps share them. The tap RNG streams are seeded by global
-  // host index, fixed by the topology — deterministic for any thread
-  // count (but, like lossy trunks, a different stream than the sequential
-  // fabric's shared one).
-  if (psim_ != nullptr && split_hosts_) {
-    std::size_t g = 0;  // global host index (host_loc_ creation order)
-    for (std::size_t i = 0; i < switches_.size(); ++i) {
-      std::vector<net::Host>& hosts = switches_[i].fabric->hosts();
-      if (hosts.empty() || host_shard_[i] == switch_shard_[i]) {
-        g += hosts.size();
-        continue;
-      }
-      const net::Link access = hosts.front().link();
-      sim::Mailbox& up =
-          psim_->add_mailbox(host_shard_[i], switch_shard_[i], access.propagation);
-      sim::Mailbox& down =
-          psim_->add_mailbox(switch_shard_[i], host_shard_[i], access.propagation);
-      sim::Scope sw_side = shard_regs_[switch_shard_[i]]->scope("topo").scope(
-          "sw" + std::to_string(i));
-      for (net::Host& h : hosts) {
-        auto tap = std::make_unique<HostTap>();
-        tap->host = &h;
-        tap->device = switches_[i].device.get();
-        tap->port = h.port();
-        tap->link = access;
-        tap->sw_sim = &psim_->shard(switch_shard_[i]);
-        tap->up = &up;
-        tap->down = &down;
-        tap->rng = sim::Rng(
-            tm::placement::mix(loss_seed_base_ ^ (0xd011'0000ULL + g)));
-        sim::Scope hs = sw_side.scope("host" + std::to_string(h.port()));
-        tap->drops = &hs.counter("drops.link");
-        tap->spans = hs.span_recorder();
-        HostTap* t = tap.get();
-        h.set_uplink([t](sim::Time at, packet::Packet pkt) {
-          t->up->push(at, [t, pkt = std::move(pkt)]() mutable {
-            t->device->inject(t->port, std::move(pkt));
-          });
+  // Split hosts: install the cross-shard taps. Every switch whose hosts
+  // live on another shard gets one mailbox pair (up: host shard -> switch
+  // shard, down: the reverse) whose conservative latency is the access
+  // link's propagation delay; the per-host taps share them. The tap RNG
+  // streams are seeded by global host index, fixed by the topology —
+  // deterministic for any thread count, but a different stream than the
+  // one-shard fabric's shared one (lossy access links differ across
+  // builds).
+  std::size_t g = 0;  // global host index (host_loc_ creation order)
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    std::vector<net::Host>& hosts = switches_[i].fabric->hosts();
+    if (host_shard_[i] == switch_shard_[i]) {
+      g += hosts.size();
+      continue;
+    }
+    const net::Link access = hosts.front().link();
+    sim::Mailbox& up = psim_->add_mailbox(host_shard_[i], switch_shard_[i], access.propagation);
+    sim::Mailbox& down =
+        psim_->add_mailbox(switch_shard_[i], host_shard_[i], access.propagation);
+    const Shard& sw = shards_[switch_shard_[i]];
+    for (net::Host& h : hosts) {
+      auto tap = std::make_unique<HostTap>();
+      tap->host = &h;
+      tap->device = switches_[i].device.get();
+      tap->port = h.port();
+      tap->link = access;
+      tap->sw_sim = sw.sim;
+      tap->up = &up;
+      tap->down = &down;
+      tap->rng = sim::Rng(tm::placement::mix(loss_seed_ ^ (0xd011'0000ULL + g)));
+      sim::Scope hs =
+          sw.topo.scope("sw" + std::to_string(i)).scope("host" + std::to_string(h.port()));
+      tap->drops = &hs.counter("drops.link");
+      tap->spans = hs.span_recorder();
+      HostTap* t = tap.get();
+      h.set_uplink([t](sim::Time at, packet::Packet pkt) {
+        t->up->push(at, [t, pkt = std::move(pkt)]() mutable {
+          t->device->inject(t->port, std::move(pkt));
         });
-        h.set_downlink([t](packet::Packet pkt) { t->deliver(std::move(pkt)); });
-        taps_.push_back(std::move(tap));
-        ++g;
-      }
+      });
+      h.set_downlink([t](packet::Packet pkt) { t->deliver(std::move(pkt)); });
+      taps_.push_back(std::move(tap));
+      ++g;
     }
   }
 
   // Hop-count probe: the routing programs decrement the wire TTL once per
   // switch, so a delivered packet's hop count is kIncInitialTtl - ttl.
-  // Parallel mode records into the receiving host's shard histogram.
+  // Each host records into its own shard's histogram.
   for (std::size_t i = 0; i < switches_.size(); ++i) {
-    sim::Histogram* hist = psim_ != nullptr ? shard_hops_[host_shard_[i]] : hops_;
+    sim::Histogram* hist = shards_[host_shard_[i]].hops;
     for (net::Host& h : switches_[i].fabric->hosts()) {
       h.add_rx_callback([hist](net::Host&, const packet::Packet& pkt) {
         if (pkt.size() >= packet::kEthernetBytes + packet::kIpv4Bytes &&
@@ -658,11 +554,8 @@ void Network::finish_wiring() {
   // only, never results.
   if (psim_ != nullptr) {
     std::vector<std::size_t> degree(switches_.size(), 0);
-    for (const auto& st : strunks_) {
-      ++degree[switch_index_of(st->ab.to.device)];
-      ++degree[switch_index_of(st->ba.to.device)];
-    }
-    std::vector<double> w(psim_->shard_count(), 1.0);
+    for (const Wire& dir : wires_) ++degree[dir.from];
+    std::vector<double> w(shards_.size(), 1.0);
     for (std::size_t i = 0; i < switches_.size(); ++i) {
       w[switch_shard_[i]] = 1.0 + 0.25 * static_cast<double>(degree[i]);
       if (host_shard_[i] != switch_shard_[i]) {
@@ -751,64 +644,10 @@ void Network::set_control_sink(std::size_t i,
   ctrl_sinks_.at(i) = std::move(sink);
 }
 
-sim::Scope Network::switch_scope(std::size_t i) {
-  assert(i < switches_.size());
-  if (psim_ != nullptr) {
-    return shard_regs_[switch_shard_[i]]->scope("topo").scope("sw" + std::to_string(i));
-  }
-  return scope_.scope("sw" + std::to_string(i));
-}
-
-sim::Scope Network::host_shard_scope(std::size_t i) {
-  const std::size_t sw = host_loc_.at(i).first;
-  if (psim_ != nullptr) return shard_regs_[host_shard_[sw]]->scope("topo");
-  return scope_;
-}
-
-sim::Simulator& Network::sim_of_host(std::size_t i) {
-  const std::size_t sw = host_loc_.at(i).first;
-  return psim_ != nullptr ? psim_->shard(host_shard_.at(sw)) : *sim_;
-}
-
-sim::Simulator& Network::sim_of_switch(std::size_t i) {
-  assert(i < switches_.size());
-  return psim_ != nullptr ? psim_->shard(switch_shard_.at(i)) : *sim_;
-}
-
-std::uint64_t Network::trunk_packets(std::size_t i, int side) const {
-  if (psim_ != nullptr) {
-    const ShardedTrunk& st = *strunks_.at(i);
-    return (side == 0 ? st.ab.packets : st.ba.packets)->value();
-  }
-  return trunks_.at(i)->packets(side);
-}
-
-std::uint64_t Network::trunk_bytes(std::size_t i, int side) const {
-  if (psim_ != nullptr) {
-    const ShardedTrunk& st = *strunks_.at(i);
-    return (side == 0 ? st.ab.bytes : st.ba.bytes)->value();
-  }
-  return trunks_.at(i)->bytes(side);
-}
-
-sim::Histogram Network::merged_hops() const {
-  sim::Histogram out;
-  if (psim_ != nullptr) {
-    for (const sim::Histogram* h : shard_hops_) out.merge(*h);
-  } else {
-    out.merge(*hops_);
-  }
-  return out;
-}
-
 std::vector<const sim::SpanBuffer*> Network::span_buffers() const {
   std::vector<const sim::SpanBuffer*> out;
-  if (psim_ != nullptr) {
-    out.reserve(shard_regs_.size());
-    for (const auto& reg : shard_regs_) out.push_back(&reg->spans());
-  } else {
-    out.push_back(&scope_.registry()->spans());
-  }
+  out.reserve(shards_.size());
+  for (const Shard& shard : shards_) out.push_back(&shard.topo.registry()->spans());
   return out;
 }
 
@@ -857,26 +696,27 @@ std::uint64_t Network::total_host_link_drops() const {
 
 std::uint64_t Network::total_trunk_drops() const {
   std::uint64_t total = 0;
-  if (psim_ != nullptr) {
-    for (const auto& st : strunks_) total += st->ab.drops->value() + st->ba.drops->value();
-  } else {
-    for (const auto& t : trunks_) total += t->drops();
+  for (std::size_t i = 0; i < trunk_count(); ++i) {
+    const Wire& ab = wire(i, 0);
+    const Wire& ba = wire(i, 1);
+    // On one shard both directions count into the same "drops.link".
+    total += ab.drops->value() + (ba.drops != ab.drops ? ba.drops->value() : 0);
   }
   return total;
 }
 
 void Network::finalize_metrics() {
-  const sim::Time elapsed = psim_ != nullptr ? psim_->now() : sim_->now();
-  const auto utilization = [&](std::size_t i, int side) {
-    const net::Link& link = psim_ != nullptr ? strunks_[i]->link : trunks_[i]->link();
-    if (elapsed == 0 || link.gbps <= 0.0) return 0.0;
-    const double bits = static_cast<double>(trunk_bytes(i, side)) * 8.0;
-    return bits * 1000.0 / (link.gbps * static_cast<double>(elapsed));
+  sim::Time elapsed = 0;  // the latest shard clock
+  for (const Shard& shard : shards_) elapsed = std::max(elapsed, shard.sim->now());
+  const auto utilization = [elapsed](const Wire& w) {
+    if (elapsed == 0 || w.link.gbps <= 0.0) return 0.0;
+    const double bits = static_cast<double>(w.bytes->value()) * 8.0;
+    return bits * 1000.0 / (w.link.gbps * static_cast<double>(elapsed));
   };
   double max_util = 0.0;
   for (std::size_t i = 0; i < trunk_count(); ++i) {
-    const double ab = utilization(i, 0);
-    const double ba = utilization(i, 1);
+    const double ab = utilization(wire(i, 0));
+    const double ba = utilization(wire(i, 1));
     sim::Scope ts = scope_.scope("trunk" + std::to_string(i));
     ts.gauge("ab.utilization").set(ab);
     ts.gauge("ba.utilization").set(ba);

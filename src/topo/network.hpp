@@ -2,7 +2,7 @@
 //
 // A Network composes the single-switch building blocks into a datacenter
 // fabric: one switch (RMT, ADCP, or RTC) per tier position, a net::Fabric
-// attaching hosts to each edge switch's low ports, and topo::Trunks on the
+// attaching hosts to each edge switch's low ports, and trunks on the
 // remaining ports. Two canned generators cover the shapes the coflow
 // workloads need:
 //
@@ -14,45 +14,48 @@
 //
 // Forwarding is exact-match for directly attached hosts and
 // longest-prefix + seeded per-flow ECMP towards the upper tiers (see
-// routing.hpp for the address plan). Metrics thread through one
-// sim::MetricRegistry under the network's scope: "topo.sw<i>.*" for
-// switches/hosts/pools, "topo.trunk<i>.*" for trunks, plus the network-
-// level "topo.hops" histogram (hop count of every delivered packet,
-// recovered from the wire TTL) and the derived "topo.ecmp.imbalance" /
-// "topo.trunk.max_utilization" gauges (finalize_metrics()).
+// routing.hpp for the address plan). Metrics thread through the network's
+// scope: "topo.sw<i>.*" for switches/hosts/pools, "topo.trunk<i>.*" for
+// trunks, plus the "topo.hops" histogram (hop count of every delivered
+// packet, recovered from the wire TTL) and the derived
+// "topo.ecmp.imbalance" / "topo.trunk.max_utilization" gauges
+// (finalize_metrics()).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "chassis/chassis.hpp"
 #include "fastpath/fastpath.hpp"
 #include "net/host.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "telem/collector.hpp"
 #include "telem/sketch.hpp"
 #include "telem/tap.hpp"
 #include "topo/routing.hpp"
 #include "topo/tier_profile.hpp"
-#include "topo/trunk.hpp"
 
 namespace adcp::topo {
 
-/// Parameters of the single-pod leaf–spine generator.
-struct LeafSpineParams {
-  std::uint32_t leaves = 4;
-  std::uint32_t spines = 2;
-  std::uint32_t hosts_per_leaf = 16;
+/// What every fabric generator takes, whatever its shape.
+struct FabricParams {
   SwitchKind kind = SwitchKind::kAdcp;
   /// How every switch is provisioned (TierProfile::slim() by default:
   /// first-touch state, shared templates; full() restores the legacy
   /// eager build). Replaces the former raw-config construction paths.
   TierProfile profile{};
+  /// The access links. On a ParallelSimulator a positive propagation delay
+  /// (the default) is the lookahead that puts each switch's hosts on a
+  /// shard of their own; zero keeps them on the switch's shard.
   net::Link host_link{};
   net::Link trunk_link{100.0, 1000 * sim::kNanosecond};
   std::uint64_t ecmp_seed = 0x7e1e'c0de;
@@ -61,70 +64,61 @@ struct LeafSpineParams {
   /// network arms every registry's SpanBuffer and stamps sampled flows at
   /// the sending hosts; read the result through span_buffers().
   sim::TraceConfig trace{};
-  /// Parallel mode only: put each hosted switch's servers on their own
-  /// shard (1, the default) instead of riding along with the switch (0).
-  /// Host event load dominates incast scenarios, so splitting it off is
-  /// what lets the partitioner balance workers. Requires host_link
-  /// propagation > 0 (the cross-shard lookahead); falls back to ride-along
-  /// otherwise.
-  std::uint32_t host_shards_per_switch = 1;
   /// Gives every *hosted* switch an in-band control channel: one extra
   /// management port (id = the switch's old port count) and a control
   /// address make_ip(pod, tor, 255) routed to it by an exact FIB entry, so
   /// a ctrl::ControlAgent can reach any edge switch through the ordinary
-  /// fabric (see ctrl_ip_of/mgmt_port_of/set_control_sink). Requires
-  /// hosts_per_leaf <= 255 (host address 255 becomes the control address).
+  /// fabric (see ctrl_ip_of/mgmt_port_of/set_control_sink). Requires at
+  /// most 255 hosts per switch (host address 255 becomes the control
+  /// address).
   bool control_channel = false;
 };
 
+/// Parameters of the single-pod leaf–spine generator.
+struct LeafSpineParams : FabricParams {
+  std::uint32_t leaves = 4;
+  std::uint32_t spines = 2;
+  std::uint32_t hosts_per_leaf = 16;
+};
+
 /// Parameters of the k-ary fat-tree generator (`k` even, >= 2).
-struct FatTreeParams {
+struct FatTreeParams : FabricParams {
   std::uint32_t k = 4;
-  SwitchKind kind = SwitchKind::kAdcp;
-  /// See LeafSpineParams::profile.
-  TierProfile profile{};
-  net::Link host_link{};
-  net::Link trunk_link{100.0, 1000 * sim::kNanosecond};
-  std::uint64_t ecmp_seed = 0x7e1e'c0de;
-  std::uint64_t loss_seed = 0xfab21c;
-  /// Span tracing (off by default; see LeafSpineParams::trace).
-  sim::TraceConfig trace{};
-  /// See LeafSpineParams::host_shards_per_switch.
-  std::uint32_t host_shards_per_switch = 1;
-  /// See LeafSpineParams::control_channel (edge switches only).
-  bool control_channel = false;
 };
 
 /// A fully wired multi-switch fabric. Construct with one of the parameter
 /// structs; hosts are addressed by a global index (rack-major) and carry
 /// the IPs of routing.hpp's address plan. Not movable: switches, fabrics
 /// and trunks hold stable self-references through the event queue.
+///
+/// Every fabric is wired over a shard table: one record per shard holding
+/// its Simulator, its "topo" scope and its "topo.hops" histogram, plus a
+/// switch -> shard and a switch -> host-shard map. The monolithic build is
+/// the one-shard case: the caller's Simulator under the network scope.
+/// Each trunk direction is one wire whose counters, spans and loss stream
+/// live on the sending shard; it delivers through a mailbox when its ends
+/// sit on different shards and through a local event otherwise.
 class Network {
  public:
   Network(sim::Simulator& sim, const LeafSpineParams& params, sim::Scope scope = {});
   Network(sim::Simulator& sim, const FatTreeParams& params, sim::Scope scope = {});
 
-  /// Sharded construction for conservative-parallel runs: every switch and
-  /// its attached hosts get a private shard (Simulator + MetricRegistry +
-  /// packet pool) on `psim`, and each trunk direction becomes a cross-shard
-  /// mailbox whose latency is the trunk's propagation delay (the
-  /// conservative lookahead). Drive the run with psim.run(); read results
-  /// through merged_snapshot()/merged_hops()/finalize_metrics(), which
-  /// reproduce the sequential path's metric names and (for lossless
-  /// trunks) bit-identical values — same final time, same snapshot bytes;
-  /// only the executed-event count may differ from the monolithic build by
-  /// a few coalesced idle-wakes (see ParallelSimulator::run). Lossy trunks
-  /// stay deterministic for any worker count but draw from per-direction
-  /// RNG streams, so their drop patterns differ from the sequential
-  /// shared-stream ones.
+  /// Sharded construction for conservative-parallel runs: every switch gets
+  /// a private shard (Simulator + MetricRegistry) on `psim`, its hosts a
+  /// second one (see FabricParams::host_link), and each trunk direction
+  /// crosses shards through a mailbox whose latency is the trunk's
+  /// propagation delay (the conservative lookahead). Drive the run with
+  /// psim.run(); read results through merged_snapshot()/finalize_metrics(),
+  /// which reproduce the monolithic build's metric names and bit-identical
+  /// values — same final time, same snapshot bytes, same trunk drops, for
+  /// lossy trunks too; only the executed-event count may differ from the
+  /// monolithic build by a few coalesced idle-wakes (see
+  /// ParallelSimulator::run).
   Network(sim::ParallelSimulator& psim, const LeafSpineParams& params);
   Network(sim::ParallelSimulator& psim, const FatTreeParams& params);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  /// True when built on a ParallelSimulator (shard-per-switch mode).
-  [[nodiscard]] bool parallel() const { return psim_ != nullptr; }
 
   [[nodiscard]] std::size_t host_count() const { return host_loc_.size(); }
   /// Host by global index; leaf_spine orders leaf-major (host g lives on
@@ -137,55 +131,50 @@ class Network {
   [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }
   net::SwitchDevice& device(std::size_t i) { return *switches_.at(i).device; }
   net::Fabric& fabric(std::size_t i) { return *switches_.at(i).fabric; }
-  [[nodiscard]] std::size_t trunk_count() const {
-    return psim_ != nullptr ? strunks_.size() : trunks_.size();
+  [[nodiscard]] std::size_t trunk_count() const { return wires_.size() / 2; }
+  /// Packets/bytes trunk `i` carried in direction `side` (0 = a->b, the
+  /// upward direction ECMP spreads; 1 = b->a).
+  [[nodiscard]] std::uint64_t trunk_packets(std::size_t i, int side) const {
+    return wire(i, side).packets->value();
   }
-  /// Sequential mode only (sharded trunks have no Trunk object; use the
-  /// trunk_packets/trunk_bytes accessors, which work in both modes).
-  Trunk& trunk(std::size_t i) { return *trunks_.at(i); }
-  [[nodiscard]] std::uint64_t trunk_packets(std::size_t i, int side) const;
-  [[nodiscard]] std::uint64_t trunk_bytes(std::size_t i, int side) const;
+  [[nodiscard]] std::uint64_t trunk_bytes(std::size_t i, int side) const {
+    return wire(i, side).bytes->value();
+  }
 
-  /// The Simulator that owns host/switch `i`'s events: the shared one in
-  /// sequential mode, the owning shard in parallel mode (workloads must
-  /// schedule a host's sends on its own shard).
-  [[nodiscard]] sim::Simulator& sim_of_host(std::size_t i);
-  [[nodiscard]] sim::Simulator& sim_of_switch(std::size_t i);
+  /// The Simulator that owns host/switch `i`'s events — the caller's in
+  /// the monolithic build (workloads must schedule a host's sends on its
+  /// own shard).
+  [[nodiscard]] sim::Simulator& sim_of_host(std::size_t i) {
+    return *shards_[host_shard_[host_loc_.at(i).first]].sim;
+  }
+  [[nodiscard]] sim::Simulator& sim_of_switch(std::size_t i) {
+    return *shards_[switch_shard_.at(i)].sim;
+  }
 
   /// Installs `tracker` on every host of every rack.
   void set_tracker(coflow::CoflowTracker* tracker);
   /// Host::reset() on every host (between back-to-back runs in one bench).
   void reset_hosts();
 
-  /// The registry everything reports into (shared when an attached scope
-  /// was passed, private otherwise). In parallel mode this is only the
-  /// network-level gauge registry; use merged_snapshot() for the full view.
+  /// The network-level registry (shared when an attached scope was passed,
+  /// private otherwise): everything in the monolithic build, only the
+  /// finalize_metrics() gauges in the sharded one — use merged_snapshot()
+  /// for the full view.
   [[nodiscard]] sim::MetricRegistry& metrics() { return *scope_.registry(); }
   [[nodiscard]] const sim::Scope& scope() const { return scope_; }
-  /// Hop count of every delivered IPv4 packet ("topo.hops"). reserve() it
-  /// before a zero-allocation measuring window. Sequential mode only; the
-  /// parallel equivalent is merged_hops().
-  [[nodiscard]] sim::Histogram& hops() { return *hops_; }
-  /// All shards' hop samples folded into one histogram (sequential mode:
-  /// a copy of hops()).
-  [[nodiscard]] sim::Histogram merged_hops() const;
+  /// Hop count of every IPv4 packet delivered on shard 0 ("topo.hops") —
+  /// the whole fabric in the monolithic build. reserve() it before a
+  /// zero-allocation measuring window.
+  [[nodiscard]] sim::Histogram& hops() { return *shards_.front().hops; }
 
-  /// One deterministic snapshot covering the whole fabric. Sequential
-  /// mode: the registry's snapshot. Parallel mode: the per-shard registry
-  /// snapshots folded with Snapshot::merge in shard order, plus the
-  /// network-level gauges — same metric names, and for lossless trunks the
-  /// same adcp-metrics-v1 bytes, as the sequential path.
+  /// One deterministic snapshot covering the whole fabric: the network
+  /// registry's snapshot with every shard registry folded in by
+  /// Snapshot::merge in shard order — same metric names, and the same
+  /// adcp-metrics-v1 bytes, on both builds (lossy access links aside).
   [[nodiscard]] sim::Snapshot merged_snapshot() const;
-  /// Per-shard registry (parallel mode), indexed by shard id (see
-  /// sim_of_switch/sim_of_host for the switch/host -> shard mapping).
-  [[nodiscard]] sim::MetricRegistry& shard_metrics(std::size_t i) {
-    return *shard_regs_.at(i);
-  }
 
-  /// Every SpanBuffer of the fabric in deterministic order, ready for the
-  /// span exporters: the network registry's buffer in sequential mode, the
-  /// per-shard buffers in shard order in parallel mode. Empty buffers are
-  /// included (harmless to the exporters).
+  /// Every shard's SpanBuffer in shard order, ready for the span
+  /// exporters. Empty buffers are included (harmless to the exporters).
   [[nodiscard]] std::vector<const sim::SpanBuffer*> span_buffers() const;
   /// The head sampler hosts stamp trace ids with (disabled when the params
   /// left trace.sample_every == 0).
@@ -291,15 +280,17 @@ class Network {
   }
   /// The tier kind switch `i` was built as.
   [[nodiscard]] SwitchKind kind_of(std::size_t i) const { return kind_.at(i); }
-  /// The "topo.sw<i>" scope on the registry that owns switch `i` (the
-  /// shard registry in parallel mode) — extra per-switch components (e.g.
-  /// a versioned control store) register here so metric names match the
-  /// sequential build byte-for-byte in merged_snapshot().
-  [[nodiscard]] sim::Scope switch_scope(std::size_t i);
-  /// The "topo" scope on the registry that owns host `i`'s shard (the
-  /// network scope in sequential mode) — for components that ride a host,
-  /// like ctrl::ControlAgent.
-  [[nodiscard]] sim::Scope host_shard_scope(std::size_t i);
+  /// The "topo.sw<i>" scope on the registry of switch `i`'s shard — extra
+  /// per-switch components (e.g. a versioned control store) register here
+  /// so metric names match across builds byte-for-byte in merged_snapshot().
+  [[nodiscard]] sim::Scope switch_scope(std::size_t i) {
+    return shards_[switch_shard_.at(i)].topo.scope("sw" + std::to_string(i));
+  }
+  /// The "topo" scope on the registry of host `i`'s shard — for components
+  /// that ride a host, like ctrl::ControlAgent.
+  [[nodiscard]] sim::Scope host_shard_scope(std::size_t i) {
+    return shards_[host_shard_[host_loc_.at(i).first]].topo;
+  }
 
   [[nodiscard]] const TierProfile& profile() const { return profile_; }
   /// The shared template for (kind, port_count), or nullptr if no switch
@@ -309,39 +300,44 @@ class Network {
       SwitchKind kind, std::uint32_t port_count) const;
 
  private:
+  /// One shard: the Simulator that owns its events, the "topo" scope its
+  /// components register under, and its "topo.hops" histogram.
+  struct Shard {
+    sim::Simulator* sim = nullptr;
+    sim::Scope topo;
+    sim::Histogram* hops = nullptr;
+  };
+
   struct SwitchSlot {
-    std::unique_ptr<net::SwitchDevice> device;
+    std::unique_ptr<chassis::Chassis> device;
     std::unique_ptr<net::Fabric> fabric;
     std::shared_ptr<ForwardingTable> fib;
   };
 
-  /// One direction of a cross-shard trunk: counters live in the sending
-  /// shard's registry, the loss lottery draws a private per-direction
-  /// stream, drops recycle into the sending shard's pool, and delivery
-  /// goes through the trunk's mailbox instead of a local event — exactly
-  /// one scheduled event per forwarded packet, like Trunk::forward.
-  struct ShardedHalf {
-    Trunk::End to;
+  /// One direction of a trunk. Counters and spans live in the sending
+  /// shard's "topo.trunk<i>" scope (on one shard both directions share its
+  /// "drops.link"), the loss lottery draws a private per-direction stream,
+  /// and drops recycle into the sending switch's pool. Delivery is exactly
+  /// one scheduled event per forwarded packet at now + propagation: a
+  /// mailbox push when the ends sit on different shards, a local event
+  /// when they share one.
+  struct Wire {
+    std::size_t from = 0;  // sending switch
+    packet::PortId from_port = 0;
+    chassis::Chassis* to = nullptr;  // receiving switch
+    packet::PortId to_port = 0;
+    std::uint64_t side = 0;  // 0 = ab (a->b), 1 = ba
     net::Link link;
-    sim::Simulator* src_sim = nullptr;
-    sim::Mailbox* mailbox = nullptr;
-    sim::Rng rng{0};
-    packet::Pool* drop_pool = nullptr;
+    sim::Simulator* sim = nullptr;    // the sending shard
+    sim::Mailbox* mailbox = nullptr;  // null when both ends share a shard
+    std::unique_ptr<sim::Rng> rng;    // lossy links only
+    packet::Pool* drop_pool = nullptr;  // the sending switch's
     sim::Counter* packets = nullptr;
     sim::Counter* bytes = nullptr;
     sim::Counter* drops = nullptr;
-    sim::SpanRecorder spans;     // records into the sending shard's buffer
-    std::uint64_t side = 0;      // 0 = ab, 1 = ba (matches Trunk::forward)
+    sim::SpanRecorder spans;
 
     void forward(packet::Packet pkt);
-  };
-
-  /// A trunk cut by the shard boundary: ab carries side-0 (upward)
-  /// traffic, ba side-1.
-  struct ShardedTrunk {
-    ShardedHalf ab;
-    ShardedHalf ba;
-    net::Link link;
   };
 
   /// The switch-shard side of one host's access link when the hosts live
@@ -367,8 +363,11 @@ class Network {
     void deliver(packet::Packet pkt);
   };
 
-  void init(sim::Simulator& sim, sim::Scope scope);
-  void init_parallel(sim::ParallelSimulator& psim);
+  /// The one construction sequence every public constructor delegates to;
+  /// `sim` is the monolithic build's one shard (null when sharded).
+  template <typename Params>
+  Network(const Params& params, sim::Simulator* sim, sim::ParallelSimulator* psim,
+          sim::Scope scope);
   /// Bracket the constructor body: snapshot the state-accounting counters
   /// and the wall clock, then fill construction_ with the deltas.
   void begin_build();
@@ -376,23 +375,31 @@ class Network {
   /// The shared template for this (kind, port_count), building and caching
   /// it on first request; counts cache hits as templates_shared.
   const SwitchTemplate& template_for(SwitchKind kind, std::uint32_t port_count);
-  /// Parallel mode: appends one shard + registry + "topo.hops" histogram;
-  /// returns the shard's Simulator and its "topo" scope through parent_out.
-  sim::Simulator& add_shard_registry(sim::Scope& parent_out);
-  void build_leaf_spine(const LeafSpineParams& p);
-  void build_fat_tree(const FatTreeParams& p);
+  /// Appends a shard record for `sim` under `topo`, arming its registry's
+  /// span ring when tracing; returns the shard index.
+  std::size_t add_shard(sim::Simulator& sim, sim::Scope topo);
+  /// The shard a new switch or host block lives on: the one shard of the
+  /// monolithic build, a fresh shard with a fresh registry when sharded.
+  std::size_t allocate_shard();
+  void build(const LeafSpineParams& p);
+  void build(const FatTreeParams& p);
   /// Creates switch i (device + fabric with `host_count` hosts) and loads
-  /// the tier's routing program for `fib`. In parallel mode the switch is
-  /// built on a fresh shard with a fresh registry.
+  /// the tier's routing program for `fib`.
   SwitchSlot& add_switch(SwitchKind kind, std::uint32_t port_count,
                          std::shared_ptr<ForwardingTable> fib, std::size_t host_count,
                          net::Link host_link, std::uint64_t loss_seed);
-  /// Creates trunk i between two switch ports; `a` must be the lower tier
-  /// (side 0 = upward traffic, the direction ECMP spreads). Returns the
-  /// trunk index (valid in both modes).
-  std::size_t add_trunk(Trunk::End a, Trunk::End b, net::Link link);
+  /// Creates trunk i between port `a_port` of switch `a` and port `b_port`
+  /// of switch `b`; `a` must be the lower tier (side 0 = upward traffic,
+  /// the direction ECMP spreads). Returns the trunk index.
+  std::size_t add_trunk(std::size_t a, packet::PortId a_port, std::size_t b,
+                        packet::PortId b_port, net::Link link);
+  /// Trunk `i`'s wire in direction `side`.
+  [[nodiscard]] const Wire& wire(std::size_t i, int side) const {
+    return wires_.at(2 * i + static_cast<std::size_t>(side));
+  }
   /// After all switches and trunks exist: point every switch's hostless
-  /// TX ports at its trunks and hook the hop-count probe on every host.
+  /// TX ports at its wires, tap split hosts, and hook the hop-count probe
+  /// on every host.
   void finish_wiring();
   /// Telemetry-armed port count for a switch with `data_ports` real ports:
   /// +1 management port, padded so rmt_pipelines_for keeps the data-port
@@ -401,31 +408,27 @@ class Network {
   /// profile_.telemetry.armed: builds the taps, the collector, and the
   /// sink-host report forwarding (no-op when disarmed).
   void arm_telemetry();
-  [[nodiscard]] std::size_t switch_index_of(const net::SwitchDevice* device) const;
 
-  sim::Simulator* sim_ = nullptr;
-  sim::ParallelSimulator* psim_ = nullptr;
+  sim::ParallelSimulator* psim_ = nullptr;  // null: the monolithic build
   TierProfile profile_{};
   std::map<std::pair<int, std::uint32_t>, std::shared_ptr<const SwitchTemplate>> templates_;
   ConstructionStats construction_;
   double build_t0_ms_ = 0.0;           // begin_build() wall-clock origin
   std::uint64_t build_reserved0_ = 0;  // StateAccounting at begin_build()
   std::uint64_t build_touched0_ = 0;
-  bool split_hosts_ = false;          // hosts on their own shards (parallel)
-  std::uint64_t loss_seed_base_ = 0;  // per-direction RNG streams (parallel)
+  std::uint64_t loss_seed_ = 0;  // seeds the per-direction and per-host loss streams
   sim::TraceConfig trace_cfg_{};
   sim::TraceSampler sampler_;  // stable address: hosts keep a pointer
   // Declared before scope_, which may register through it.
   std::unique_ptr<sim::MetricRegistry> own_metrics_;
   sim::Scope scope_;
-  sim::Rng trunk_rng_{0};
+  std::vector<Shard> shards_;
+  std::vector<std::unique_ptr<sim::MetricRegistry>> shard_regs_;  // sharded build
   std::vector<SwitchSlot> switches_;
-  std::vector<std::unique_ptr<Trunk>> trunks_;            // sequential mode
-  std::vector<std::unique_ptr<ShardedTrunk>> strunks_;    // parallel mode
-  std::vector<std::unique_ptr<HostTap>> taps_;            // split-host mode
-  std::vector<std::size_t> switch_shard_;  // switch index -> shard (parallel)
+  std::deque<Wire> wires_;  // trunk i's side s at 2i + s; stable addresses
+  std::vector<std::unique_ptr<HostTap>> taps_;
+  std::vector<std::size_t> switch_shard_;  // switch index -> shard
   std::vector<std::size_t> host_shard_;    // switch index -> its hosts' shard
-  std::vector<std::unique_ptr<sim::MetricRegistry>> shard_regs_;  // per shard
   bool control_channel_ = false;
   std::vector<SwitchKind> kind_;             // switch index -> tier kind
   std::vector<std::uint32_t> ctrl_ip_;       // switch index -> control addr (0 = none)
@@ -440,8 +443,6 @@ class Network {
   std::vector<std::uint32_t> host_ip_;  // global host index -> address
   std::vector<std::pair<std::uint32_t, std::uint32_t>> host_loc_;  // -> (switch, local)
   std::vector<std::vector<std::size_t>> ecmp_groups_;  // uplink fan-outs (trunk indices)
-  sim::Histogram* hops_ = nullptr;       // registry-owned (sequential mode)
-  std::vector<sim::Histogram*> shard_hops_;  // per shard id (parallel mode)
 };
 
 }  // namespace adcp::topo

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -360,6 +361,79 @@ TEST(ParallelEquivalence, FatTreeAllReduceThreads4MatchesThreads1AndMonolithic) 
   ASSERT_GE(mono.events, par1.events);
   EXPECT_EQ(mono.events - par1.events, 2u)
       << "par=" << par1.events << " mono=" << mono.events;
+}
+
+// --- lossy trunks: one drop pattern on every engine ------------------------
+
+struct LossyRun {
+  std::uint64_t events = 0;
+  sim::Time now = 0;
+  std::uint64_t hash = 0;
+  std::uint64_t rx = 0;
+  std::uint64_t trunk_drops = 0;
+};
+
+/// A rack incast into host 0 from every other host, 32 packets each, over
+/// the lossy trunks of `p`: on one Simulator when `threads` is 0, sharded
+/// on a ParallelSimulator with that many workers otherwise.
+template <typename Params>
+LossyRun run_lossy_incast(const Params& p, unsigned threads) {
+  sim::Simulator sim;
+  sim::ParallelSimulator psim(threads);
+  auto net = threads == 0 ? std::make_unique<topo::Network>(sim, p)
+                          : std::make_unique<topo::Network>(psim, p);
+  auto hosts = rack_hosts(*net);
+  workload::RackIncastParams inc;
+  inc.sink = 0;
+  inc.senders = static_cast<std::uint32_t>(hosts.size() - 1);
+  inc.packets_per_sender = 32;
+  workload::start_rack_incast(hosts, inc, 0);
+  LossyRun r;
+  r.events = threads == 0 ? sim.run() : psim.run();
+  net->finalize_metrics();
+  r.now = threads == 0 ? sim.now() : psim.now();
+  r.hash = fnv1a(net->merged_snapshot().to_json("pin"));
+  r.rx = net->total_host_rx_packets();
+  r.trunk_drops = net->total_trunk_drops();
+  EXPECT_EQ(net->total_host_tx_packets(),
+            r.rx + r.trunk_drops + net->total_host_link_drops());
+  return r;
+}
+
+TEST(ParallelEquivalence, LossyTrunksMatchMonolithic) {
+  // Each trunk direction draws its own loss stream on its sending shard,
+  // so both engines drop exactly the same packets.
+  topo::LeafSpineParams ls;
+  ls.leaves = 2;
+  ls.spines = 2;
+  ls.hosts_per_leaf = 4;
+  ls.trunk_link.loss_rate = 0.2;
+  topo::FatTreeParams ft;
+  ft.k = 4;
+  ft.trunk_link.loss_rate = 0.1;
+  const LossyRun ls_mono = run_lossy_incast(ls, 0);
+  const LossyRun ft_mono = run_lossy_incast(ft, 0);
+  ASSERT_GT(ls_mono.trunk_drops, 0u);
+  ASSERT_GT(ft_mono.trunk_drops, 0u);
+
+  for (unsigned threads : {1u, 2u, 4u}) {
+    const LossyRun ls_par = run_lossy_incast(ls, threads);
+    EXPECT_EQ(ls_par.trunk_drops, ls_mono.trunk_drops) << "threads=" << threads;
+    EXPECT_EQ(ls_par.rx, ls_mono.rx) << "threads=" << threads;
+    EXPECT_EQ(ls_par.now, ls_mono.now) << "threads=" << threads;
+    EXPECT_EQ(ls_par.hash, ls_mono.hash) << "threads=" << threads;
+    EXPECT_EQ(ls_par.events, ls_mono.events) << "threads=" << threads;
+
+    const LossyRun ft_par = run_lossy_incast(ft, threads);
+    EXPECT_EQ(ft_par.trunk_drops, ft_mono.trunk_drops) << "threads=" << threads;
+    EXPECT_EQ(ft_par.rx, ft_mono.rx) << "threads=" << threads;
+    EXPECT_EQ(ft_par.now, ft_mono.now) << "threads=" << threads;
+    EXPECT_EQ(ft_par.hash, ft_mono.hash) << "threads=" << threads;
+    // One coalesced idle-wake, as in the allreduce pin above.
+    ASSERT_GE(ft_mono.events, ft_par.events);
+    EXPECT_EQ(ft_mono.events - ft_par.events, 1u)
+        << "threads=" << threads << " par=" << ft_par.events << " mono=" << ft_mono.events;
+  }
 }
 
 // --- tracing determinism: the pin extended to span output ------------------

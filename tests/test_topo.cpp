@@ -158,7 +158,7 @@ TEST(TopoEcmp, FlowSticksToOneUplinkDeterministically) {
     inc.packets_per_sender = 16;
     workload::start_rack_incast(hosts, inc, 0);
     sim.run();
-    return {net.trunk(0).packets(0), net.trunk(1).packets(0)};
+    return {net.trunk_packets(0, 0), net.trunk_packets(1, 0)};
   };
 
   const auto first = uplink_of(0xfeedULL);
@@ -183,8 +183,8 @@ TEST(TopoEcmp, ManyFlowsSpreadOverBothSpines) {
   inc.packets_per_sender = 8;
   workload::start_rack_incast(hosts, inc, 0);
   sim.run();
-  EXPECT_GT(net.trunk(0).packets(0), 0u);
-  EXPECT_GT(net.trunk(1).packets(0), 0u);
+  EXPECT_GT(net.trunk_packets(0, 0), 0u);
+  EXPECT_GT(net.trunk_packets(1, 0), 0u);
   net.finalize_metrics();
   const double imbalance = net.scope().gauge("ecmp.imbalance").value();
   EXPECT_GE(imbalance, 1.0);
@@ -246,7 +246,7 @@ TEST(TopoNetwork, SameRackStaysOneHop) {
   sim.run();
   EXPECT_EQ(net.hops().count(), 8u);
   EXPECT_EQ(net.hops().quantile(1.0), 1.0);
-  EXPECT_EQ(net.trunk(0).packets(0), 0u);  // nothing went upstairs
+  EXPECT_EQ(net.trunk_packets(0, 0), 0u);  // nothing went upstairs
 }
 
 TEST(TopoNetwork, LossyTrunksConservePackets) {
