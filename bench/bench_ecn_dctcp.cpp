@@ -13,6 +13,7 @@
 #include "net/host.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/span.hpp"
 #include "tm/shared_buffer.hpp"
 #include "workload/dctcp.hpp"
 
@@ -30,7 +31,8 @@ struct Outcome {
 
 /// When `series_path` is set, a TimeSeriesSampler polls TM2's shared-buffer
 /// occupancy every 5 us of simulated time up to `horizon` and the series is
-/// written as CSV — the queue-depth-over-time view behind the peak numbers.
+/// written as a Perfetto counter track — the queue-depth-over-time view
+/// behind the peak numbers.
 Outcome run(std::uint32_t senders, bool react, const char* series_path = nullptr,
             sim::Time horizon = 0) {
   sim::Simulator sim;
@@ -75,7 +77,14 @@ Outcome run(std::uint32_t senders, bool react, const char* series_path = nullptr
   }
   sim.run();
 
-  if (sampler.has_value()) sampler->write_csv(series_path);
+  if (sampler.has_value()) {
+    const std::string json = sim::spans_to_perfetto({}, sampler->counter_series(), 1e-6);
+    if (sim::write_text_file(series_path, json)) {
+      std::printf("wrote %s\n", series_path);
+    } else {
+      std::fprintf(stderr, "cannot write %s\n", series_path);
+    }
+  }
 
   Outcome o;
   o.peak_buffer = sw.tm2().buffer().peak();
@@ -121,8 +130,7 @@ int main() {
   const auto horizon =
       static_cast<sim::Time>(dctcp8_makespan_us * sim::kMicrosecond) +
       5 * sim::kMicrosecond;
-  run(8, true, "BENCH_ecn_dctcp_timeseries.csv", horizon);
-  std::printf("wrote BENCH_ecn_dctcp_timeseries.csv\n");
+  run(8, true, "TRACE_ecn_dctcp.json", horizon);
   std::printf(
       "\nExpected shape: blind senders grow into deep queues (peak scales with\n"
       "incast degree); reacting senders hold the queue near the threshold at a\n"

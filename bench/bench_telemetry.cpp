@@ -280,15 +280,8 @@ void export_trace(Params p, Mode mode, const WorkloadShape& w, sim::Time deadlin
   start_incast(net, w);
   sim.run_until(deadline);
   sampler.stop();
-  std::vector<sim::CounterSeries> counters;
-  for (std::size_t c = 0; c < sampler.labels().size(); ++c) {
-    sim::CounterSeries cs;
-    cs.track = sampler.labels()[c];
-    cs.times = sampler.times();
-    cs.values = sampler.columns()[c];
-    counters.push_back(std::move(cs));
-  }
-  const std::string json = sim::spans_to_perfetto(net.span_buffers(), counters, 1e-6);
+  const std::string json =
+      sim::spans_to_perfetto(net.span_buffers(), sampler.counter_series(), 1e-6);
   if (sim::write_text_file(path, json)) {
     std::printf("wrote %s\n", path.c_str());
   } else {

@@ -9,8 +9,6 @@ bool MatchActionUnit::process(packet::Phv& phv) {
     result = exact->lookup(key);
   } else if (auto* lpm = std::get_if<LpmTable>(&table_)) {
     result = lpm->lookup(static_cast<std::uint32_t>(key));
-  } else if (auto* tcam = std::get_if<TernaryTable>(&table_)) {
-    result = tcam->lookup(key);
   }
   if (result) {
     ++hits_;

@@ -18,7 +18,7 @@ namespace adcp::mat {
 /// A MAU wraps one match table; the key is one scalar PHV field.
 class MatchActionUnit {
  public:
-  using Table = std::variant<ExactTable, LpmTable, TernaryTable>;
+  using Table = std::variant<ExactTable, LpmTable>;
 
   MatchActionUnit(std::string name, packet::FieldId key_field, Table table,
                   Action default_action = actions::nop())

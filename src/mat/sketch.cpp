@@ -47,27 +47,4 @@ void CountMinSketch::reset() {
   for (auto& row : rows_) std::fill(row.begin(), row.end(), 0);
 }
 
-BloomFilter::BloomFilter(std::size_t bits, std::size_t hashes, std::uint64_t seed)
-    : bits_(bits, false) {
-  assert(bits > 0 && hashes > 0);
-  for (std::size_t h = 0; h < hashes; ++h) seeds_.push_back(mix(seed + h));
-}
-
-std::size_t BloomFilter::bit_index(std::size_t hash, std::uint64_t key) const {
-  return static_cast<std::size_t>(mix(key ^ seeds_[hash]) % bits_.size());
-}
-
-void BloomFilter::insert(std::uint64_t key) {
-  for (std::size_t h = 0; h < seeds_.size(); ++h) bits_[bit_index(h, key)] = true;
-}
-
-bool BloomFilter::maybe_contains(std::uint64_t key) const {
-  for (std::size_t h = 0; h < seeds_.size(); ++h) {
-    if (!bits_[bit_index(h, key)]) return false;
-  }
-  return true;
-}
-
-void BloomFilter::reset() { std::fill(bits_.begin(), bits_.end(), false); }
-
 }  // namespace adcp::mat

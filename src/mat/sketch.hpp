@@ -1,4 +1,4 @@
-// Probabilistic per-key state: Count-Min sketch and Bloom filter.
+// Probabilistic per-key state: a Count-Min sketch.
 //
 // These are the standard stateful building blocks of in-network caching
 // and telemetry (NetCache detects hot keys with exactly this machinery) —
@@ -37,26 +37,6 @@ class CountMinSketch {
   std::size_t width_;
   std::vector<std::uint64_t> seeds_;
   std::vector<std::vector<std::uint64_t>> rows_;
-};
-
-/// Bloom filter over 64-bit keys: no false negatives; false-positive rate
-/// set by bits/hashes.
-class BloomFilter {
- public:
-  BloomFilter(std::size_t bits, std::size_t hashes, std::uint64_t seed = 0xb100'f11e);
-
-  void insert(std::uint64_t key);
-  /// True if the key MAY have been inserted (false is definitive).
-  [[nodiscard]] bool maybe_contains(std::uint64_t key) const;
-
-  [[nodiscard]] std::size_t bit_count() const { return bits_.size(); }
-  void reset();
-
- private:
-  [[nodiscard]] std::size_t bit_index(std::size_t hash, std::uint64_t key) const;
-
-  std::vector<bool> bits_;
-  std::vector<std::uint64_t> seeds_;
 };
 
 }  // namespace adcp::mat

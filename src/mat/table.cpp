@@ -1,6 +1,5 @@
 #include "mat/table.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -50,24 +49,6 @@ LookupResult LpmTable::lookup(std::uint32_t key) const {
     if (bucket.empty()) continue;
     const auto it = bucket.find(key & prefix_mask(static_cast<std::uint8_t>(len)));
     if (it != bucket.end()) return std::cref(it->second);
-  }
-  return std::nullopt;
-}
-
-bool TernaryTable::insert(std::uint64_t value, std::uint64_t mask, std::uint32_t priority,
-                          Action action) {
-  if (entries_.size() >= capacity_) return false;
-  Entry e{value & mask, mask, priority, std::move(action)};
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), e,
-      [](const Entry& a, const Entry& b) { return a.priority < b.priority; });
-  entries_.insert(pos, std::move(e));
-  return true;
-}
-
-LookupResult TernaryTable::lookup(std::uint64_t key) const {
-  for (const Entry& e : entries_) {
-    if ((key & e.mask) == e.value) return std::cref(e.action);
   }
   return std::nullopt;
 }

@@ -1,4 +1,4 @@
-// Match tables: exact, longest-prefix, and ternary.
+// Match tables: exact and longest-prefix.
 //
 // All tables match a 64-bit key and yield an Action. Capacity is explicit:
 // insertion fails when the table is full, as on real silicon.
@@ -9,7 +9,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "mat/action.hpp"
 
@@ -55,29 +54,6 @@ class LpmTable {
   // entries_[len] maps masked prefix -> action; lookup walks lengths
   // longest-first.
   std::array<std::unordered_map<std::uint32_t, Action>, 33> entries_;
-};
-
-/// Ternary (value/mask) table with priorities (TCAM on real chips). Lower
-/// priority value wins among multiple matches.
-class TernaryTable {
- public:
-  explicit TernaryTable(std::size_t capacity) : capacity_(capacity) {}
-
-  bool insert(std::uint64_t value, std::uint64_t mask, std::uint32_t priority, Action action);
-  [[nodiscard]] LookupResult lookup(std::uint64_t key) const;
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    std::uint64_t value;
-    std::uint64_t mask;
-    std::uint32_t priority;
-    Action action;
-  };
-  std::size_t capacity_;
-  std::vector<Entry> entries_;  // kept sorted by priority
 };
 
 }  // namespace adcp::mat

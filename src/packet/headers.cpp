@@ -1,9 +1,6 @@
 #include "packet/headers.hpp"
 
 #include <algorithm>
-#include <cassert>
-
-#include "packet/fields.hpp"
 
 namespace adcp::packet {
 
@@ -116,35 +113,6 @@ bool decode_inc(const Packet& pkt, IncHeader& out) {
                                       static_cast<std::uint32_t>(b.read(at + 4, 4))});
   }
   return true;
-}
-
-void deposit_inc_from_phv(const Phv& phv, Packet& pkt) {
-  Buffer& b = pkt.data;
-  assert(b.size() >= kIncOffset + kIncFixedBytes);
-
-  const auto keys = phv.array(array_fields::kIncKeys);
-  const auto values = phv.array(array_fields::kIncValues);
-  const std::size_t elems = std::max(keys.size(), values.size());
-
-  b.write(kIncOffset, 1, phv.get_or(fields::kIncOpcode, 0));
-  b.write(kIncOffset + 1, 1, elems);
-  b.write(kIncOffset + 2, 2, phv.get_or(fields::kIncCoflowId, 0));
-  b.write(kIncOffset + 4, 4, phv.get_or(fields::kIncFlowId, 0));
-  b.write(kIncOffset + 8, 4, phv.get_or(fields::kIncSeq, 0));
-  b.write(kIncOffset + 12, 4, phv.get_or(fields::kIncWorkerId, 0));
-
-  const std::size_t needed = kIncOffset + kIncFixedBytes + elems * kIncElementBytes;
-  if (b.size() < needed) b.resize(needed);
-  for (std::size_t i = 0; i < elems; ++i) {
-    const std::size_t at = kIncOffset + kIncFixedBytes + i * kIncElementBytes;
-    b.write(at, 4, i < keys.size() ? keys[i] : 0);
-    b.write(at + 4, 4, i < values.size() ? values[i] : 0);
-  }
-
-  // Keep the IPv4 and UDP length fields consistent with the new element count.
-  const std::size_t inc_bytes = kIncFixedBytes + elems * kIncElementBytes;
-  b.write(kIpOffset + 2, 2, kIpv4Bytes + kUdpBytes + inc_bytes);
-  b.write(kUdpOffset + 4, 2, kUdpBytes + inc_bytes);
 }
 
 }  // namespace adcp::packet

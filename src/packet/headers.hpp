@@ -129,9 +129,4 @@ bool decode_inc(const Packet& pkt, IncHeader& out);
 /// exactly the packets decode_inc rejects (nullopt) and never allocates.
 std::optional<std::size_t> decode_inc_fixed(const Packet& pkt, IncHeader& out);
 
-/// Re-serializes PHV fields back into `pkt` (the inverse of the standard
-/// parse): scalar INC fields and the key/value arrays are written into the
-/// INC header region, growing or shrinking the element area as needed.
-void deposit_inc_from_phv(const Phv& phv, Packet& pkt);
-
 }  // namespace adcp::packet

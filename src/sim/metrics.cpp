@@ -304,29 +304,6 @@ std::string Snapshot::to_json(std::string_view bench_label) const {
   return out;
 }
 
-std::string Snapshot::to_csv() const {
-  std::string out = "name,kind,value,count,min,max,p50,p99\n";
-  for (const Entry& e : entries_) {
-    out += csv_escape(e.name);
-    out += ',';
-    out += metric_kind_name(e.kind);
-    out += ',';
-    out += fmt_double(e.value);
-    out += ',';
-    out += std::to_string(e.count);
-    out += ',';
-    out += fmt_double(e.min);
-    out += ',';
-    out += fmt_double(e.max);
-    out += ',';
-    out += fmt_double(e.p50);
-    out += ',';
-    out += fmt_double(e.p99);
-    out += '\n';
-  }
-  return out;
-}
-
 bool Snapshot::write_json(const std::string& path, std::string_view bench_label) const {
   std::ofstream f(path);
   if (!f) return false;
@@ -368,29 +345,13 @@ void TimeSeriesSampler::sample() {
   }
 }
 
-std::string TimeSeriesSampler::to_csv() const {
-  std::string out = "time_ps";
-  for (const std::string& label : labels_) {
-    out += ',';
-    out += csv_escape(label);
-  }
-  out += '\n';
-  for (std::size_t row = 0; row < times_.size(); ++row) {
-    out += std::to_string(times_[row]);
-    for (const auto& col : columns_) {
-      out += ',';
-      out += fmt_double(col[row]);
-    }
-    out += '\n';
+std::vector<CounterSeries> TimeSeriesSampler::counter_series() const {
+  std::vector<CounterSeries> out;
+  out.reserve(labels_.size());
+  for (std::size_t i = 0; i < labels_.size(); ++i) {
+    out.push_back(CounterSeries{labels_[i], times_, columns_[i]});
   }
   return out;
-}
-
-bool TimeSeriesSampler::write_csv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << to_csv();
-  return static_cast<bool>(f);
 }
 
 }  // namespace adcp::sim

@@ -1,5 +1,5 @@
 // Unified observability layer: hierarchical metric registry, deterministic
-// snapshots with JSON/CSV exporters, and simulated-time series sampling.
+// snapshots with a JSON exporter, and simulated-time series sampling.
 //
 // Every component (switch, TM, pool, host) registers its counters under a
 // dotted prefix ("rmt0.tm.drops.admission") via a Scope handle and keeps
@@ -87,7 +87,7 @@ struct Metric {
 };
 
 /// Point-in-time view of a registry, with deterministic (sorted-name)
-/// iteration and JSON/CSV exporters. Histogram/Summary metrics flatten to
+/// iteration and a JSON exporter. Histogram/Summary metrics flatten to
 /// a fixed set of sub-fields so the export schema is self-describing.
 class Snapshot {
  public:
@@ -110,8 +110,6 @@ class Snapshot {
   /// {"schema":"adcp-metrics-v1","bench":"<label>","metrics":{...}} —
   /// sorted keys, %.17g doubles (round-trips exactly).
   [[nodiscard]] std::string to_json(std::string_view bench_label = {}) const;
-  /// "name,kind,value,count,min,max,p50,p99\n" rows in sorted-name order.
-  [[nodiscard]] std::string to_csv() const;
   bool write_json(const std::string& path, std::string_view bench_label = {}) const;
 
   /// Deterministic name-sorted union-merge of another snapshot into this
@@ -205,9 +203,9 @@ class TimeSeriesSampler {
   /// Column i corresponds to labels()[i]; each column has times().size() rows.
   [[nodiscard]] const std::vector<std::vector<double>>& columns() const { return columns_; }
 
-  /// "time_ps,<label0>,<label1>,...\n" rows, RFC-4180-escaped labels.
-  [[nodiscard]] std::string to_csv() const;
-  bool write_csv(const std::string& path) const;
+  /// One Perfetto counter track per label, each carrying the shared time
+  /// axis (the `counters` argument of spans_to_perfetto).
+  [[nodiscard]] std::vector<CounterSeries> counter_series() const;
 
  private:
   void sample();

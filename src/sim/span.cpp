@@ -201,44 +201,6 @@ std::string spans_to_perfetto(const std::vector<const SpanBuffer*>& buffers,
   return out;
 }
 
-std::string csv_escape(std::string_view field) {
-  if (field.find_first_of(",\"\r\n") == std::string_view::npos) return std::string(field);
-  std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (const char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string spans_to_csv(const std::vector<const SpanBuffer*>& buffers) {
-  const std::vector<Collected> spans = collect_sorted(buffers);
-  std::string out = "trace_id,component,kind,begin_ps,end_ps,a0,a1\n";
-  char idbuf[32];
-  for (const Collected& c : spans) {
-    std::snprintf(idbuf, sizeof(idbuf), "0x%llx",
-                  static_cast<unsigned long long>(c.span.trace_id));
-    out += idbuf;
-    out += ',';
-    out += csv_escape(c.component);
-    out += ',';
-    out += span_kind_name(c.span.kind);
-    out += ',';
-    out += std::to_string(c.span.begin);
-    out += ',';
-    out += std::to_string(c.span.end);
-    out += ',';
-    out += std::to_string(c.span.a0);
-    out += ',';
-    out += std::to_string(c.span.a1);
-    out += '\n';
-  }
-  return out;
-}
-
 bool write_text_file(const std::string& path, std::string_view text) {
   std::ofstream f(path);
   if (!f) return false;

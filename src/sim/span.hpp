@@ -19,7 +19,7 @@
 // In parallel runs each shard's MetricRegistry owns its own SpanBuffer;
 // the exporters below take the buffers in shard order and merge them
 // deterministically (a stable sort on simulated begin time with a total
-// tie-break), so the Chrome trace-event JSON / CSV bytes are identical for
+// tie-break), so the Chrome trace-event JSON bytes are identical for
 // any --threads value. Open the JSON in ui.perfetto.dev: one track per
 // (component, kind), flow arrows linking a packet's spans across switches.
 #pragma once
@@ -274,15 +274,6 @@ struct CounterSeries {
 [[nodiscard]] std::string spans_to_perfetto(const std::vector<const SpanBuffer*>& buffers,
                                             const std::vector<CounterSeries>& counters,
                                             double ts_to_us);
-
-/// Compact CSV: "trace_id,component,kind,begin_ps,end_ps,a0,a1\n" rows in
-/// the same deterministic order as the Perfetto export.
-[[nodiscard]] std::string spans_to_csv(const std::vector<const SpanBuffer*>& buffers);
-
-/// RFC-4180 CSV field escaping (span and metric CSV exports): fields
-/// containing a comma, quote, CR, or LF are wrapped in quotes with embedded
-/// quotes doubled; anything else passes through unchanged.
-[[nodiscard]] std::string csv_escape(std::string_view field);
 
 /// Writes `text` to `path`; returns false on I/O failure. Shared by the
 /// trace exporters and benches.

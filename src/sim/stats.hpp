@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace adcp::sim {
 
 /// Monotonic event counter.
@@ -101,32 +99,6 @@ class Histogram {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Converts a (count, elapsed picoseconds) pair into common rate units.
-struct Rate {
-  std::uint64_t count = 0;
-  Time elapsed = 0;
-
-  [[nodiscard]] double per_second() const {
-    return elapsed == 0 ? 0.0
-                        : static_cast<double>(count) * 1e12 / static_cast<double>(elapsed);
-  }
-  /// Billions per second — the paper quotes packet rates in Bpps and key
-  /// rates in Bops/s.
-  [[nodiscard]] double giga_per_second() const { return per_second() / 1e9; }
-};
-
-/// Bytes-over-time rate in Gbps.
-struct Throughput {
-  std::uint64_t bytes = 0;
-  Time elapsed = 0;
-
-  [[nodiscard]] double gbps() const {
-    return elapsed == 0 ? 0.0
-                        : static_cast<double>(bytes) * 8.0 * 1e12 /
-                              (static_cast<double>(elapsed) * 1e9);
-  }
 };
 
 }  // namespace adcp::sim

@@ -1,15 +1,13 @@
 // Per-output scheduling disciplines.
 //
 // Each traffic-manager output owns one Scheduler instance that arbitrates
-// among that output's class queues. FIFO, strict priority, and deficit
-// round robin cover what commercial TMs ship; the ADCP-specific
-// order-preserving merge lives in merge.hpp.
+// among that output's class queues. FIFO is the default; PIFO lives in
+// pifo.hpp and the ADCP-specific order-preserving merge in merge.hpp.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "packet/packet.hpp"
 #include "tm/queue.hpp"
@@ -43,39 +41,6 @@ class FifoScheduler final : public Scheduler {
 
  private:
   PacketQueue q_;
-};
-
-/// Lower class index = higher priority; class >= n maps to the lowest.
-class StrictPriorityScheduler final : public Scheduler {
- public:
-  explicit StrictPriorityScheduler(std::uint32_t classes) : queues_(classes) {}
-
-  void enqueue(std::uint32_t klass, packet::Packet pkt) override;
-  std::optional<packet::Packet> dequeue() override;
-  [[nodiscard]] bool empty() const override;
-  [[nodiscard]] std::size_t packets() const override;
-
- private:
-  std::vector<PacketQueue> queues_;
-};
-
-/// Deficit round robin: byte-fair service among classes.
-class DrrScheduler final : public Scheduler {
- public:
-  DrrScheduler(std::uint32_t classes, std::uint64_t quantum_bytes)
-      : queues_(classes), deficits_(classes, 0), quantum_(quantum_bytes) {}
-
-  void enqueue(std::uint32_t klass, packet::Packet pkt) override;
-  std::optional<packet::Packet> dequeue() override;
-  [[nodiscard]] bool empty() const override;
-  [[nodiscard]] std::size_t packets() const override;
-
- private:
-  std::vector<PacketQueue> queues_;
-  std::vector<std::uint64_t> deficits_;
-  std::uint64_t quantum_;
-  std::size_t round_ = 0;  // class currently being served
-  bool fresh_visit_ = true;  // next arrival at round_ grants one quantum
 };
 
 }  // namespace adcp::tm

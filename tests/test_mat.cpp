@@ -72,26 +72,6 @@ TEST(LpmTable, CapacityEnforced) {
   EXPECT_FALSE(t.insert(0x0b000000, 8, actions::nop()));
 }
 
-TEST(TernaryTable, PriorityOrder) {
-  TernaryTable t(4);
-  // Broad low-priority rule and narrow high-priority rule.
-  EXPECT_TRUE(t.insert(0x0000, 0x0000, 10, actions::set_field(f::kUser0, 1)));
-  EXPECT_TRUE(t.insert(0x1200, 0xff00, 1, actions::set_field(f::kUser0, 2)));
-
-  packet::Phv phv;
-  (*t.lookup(0x1234))(phv);
-  EXPECT_EQ(phv.get(f::kUser0), 2u);  // high priority wins
-  (*t.lookup(0x5678))(phv);
-  EXPECT_EQ(phv.get(f::kUser0), 1u);  // falls to the wildcard
-}
-
-TEST(TernaryTable, MaskApplies) {
-  TernaryTable t(4);
-  t.insert(0xab00, 0xff00, 1, actions::nop());
-  EXPECT_TRUE(t.lookup(0xabcd).has_value());
-  EXPECT_FALSE(t.lookup(0xaacd).has_value());
-}
-
 TEST(Actions, Sequence) {
   packet::Phv phv;
   actions::sequence(actions::set_field(f::kUser0, 1), actions::add_to_field(f::kUser0, 2))(phv);
@@ -159,19 +139,13 @@ TEST(Mau, HitMissCountsAndDefaultAction) {
   EXPECT_EQ(mau.misses(), 1u);
 }
 
-TEST(Mau, WorksWithLpmAndTernary) {
+TEST(Mau, WorksWithLpm) {
   LpmTable lpm(2);
   lpm.insert(0x0a000000, 8, actions::set_field(f::kUser1, 1));
   MatchActionUnit m1("lpm", f::kIpDst, std::move(lpm));
   packet::Phv phv;
   phv.set(f::kIpDst, 0x0a123456);
   EXPECT_TRUE(m1.process(phv));
-
-  TernaryTable tcam(2);
-  tcam.insert(0x80, 0x80, 1, actions::set_field(f::kUser1, 2));
-  MatchActionUnit m2("tcam", f::kUser0, std::move(tcam));
-  phv.set(f::kUser0, 0x81);
-  EXPECT_TRUE(m2.process(phv));
 }
 
 TEST(StageMemoryPool, AllocatesAndRejects) {

@@ -29,14 +29,16 @@ TEST(MetricRegistry, RegisterRecordSnapshotJsonRoundTrip) {
   Scope sw = reg.scope("rmt0");
   Counter& drops = sw.scope("tm").counter("drops.admission");
   Gauge& depth = sw.gauge("queue.depth");
+  Gauge& ratio = sw.gauge("hit_ratio");
   Histogram& lat = sw.histogram("latency_ps");
 
   drops.add(7);
   depth.set(12.5);
+  ratio.set(0.1);  // 0.1 is not exactly representable: %.17g must survive
   for (int i = 1; i <= 100; ++i) lat.record(static_cast<double>(i));
 
   const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.entries().size(), 3u);
+  ASSERT_EQ(snap.entries().size(), 4u);
   EXPECT_EQ(snap.value("rmt0.tm.drops.admission"), 7.0);
   EXPECT_EQ(snap.value("rmt0.queue.depth"), 12.5);
   const Snapshot::Entry* h = snap.find("rmt0.latency_ps");
@@ -49,6 +51,7 @@ TEST(MetricRegistry, RegisterRecordSnapshotJsonRoundTrip) {
   EXPECT_NE(json.find("\"bench\":\"unit_test\""), std::string::npos);
   EXPECT_EQ(json_field(json, "rmt0.tm.drops.admission", "value"), 7.0);
   EXPECT_EQ(json_field(json, "rmt0.queue.depth", "value"), 12.5);
+  EXPECT_EQ(json_field(json, "rmt0.hit_ratio", "value"), 0.1);
   EXPECT_EQ(json_field(json, "rmt0.latency_ps", "count"), 100.0);
   // Histogram::quantile indexes q*(n-1): p99 of 1..100 is sample 98.
   EXPECT_EQ(json_field(json, "rmt0.latency_ps", "p99"), 99.0);
@@ -70,28 +73,6 @@ TEST(MetricRegistry, TopoHopsHistogramJsonRoundTrip) {
   EXPECT_EQ(json_field(json, "topo.hops", "value"), 2.5);  // mean
 }
 
-TEST(MetricRegistry, CsvRoundTripParsesBack) {
-  MetricRegistry reg;
-  reg.counter("b.count").add(41);
-  reg.gauge("a.value").set(0.1);  // 0.1 is not exactly representable: %.17g must survive
-  const std::string csv = reg.snapshot().to_csv();
-
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < csv.size()) {
-    const std::size_t end = csv.find('\n', start);
-    lines.push_back(csv.substr(start, end - start));
-    start = end + 1;
-  }
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0], "name,kind,value,count,min,max,p50,p99");
-  // Sorted: a.value before b.count.
-  EXPECT_EQ(lines[1].substr(0, lines[1].find(',')), "a.value");
-  EXPECT_EQ(lines[2].substr(0, lines[2].find(',')), "b.count");
-  const std::size_t v = lines[1].find("gauge,") + 6;
-  EXPECT_EQ(std::strtod(lines[1].c_str() + v, nullptr), 0.1);
-}
-
 TEST(MetricRegistry, SnapshotOrderIndependentOfRegistrationOrder) {
   const std::vector<std::string> names = {"rmt0.tx.packets", "core0.tm1.enqueued",
                                           "rmt0.tm.drops.admission", "a", "z.z"};
@@ -109,7 +90,6 @@ TEST(MetricRegistry, SnapshotOrderIndependentOfRegistrationOrder) {
     EXPECT_LT(f.entries()[i - 1].name, f.entries()[i].name);
   }
   EXPECT_EQ(f.to_json("x"), b.to_json("x"));
-  EXPECT_EQ(f.to_csv(), b.to_csv());
 }
 
 TEST(MetricRegistry, ReRegistrationReturnsSameMetric) {
@@ -171,9 +151,14 @@ TEST(TimeSeriesSampler, PollsOnSimulatedCadence) {
   EXPECT_EQ(sampler.columns()[0][2], 30.0);
   EXPECT_DOUBLE_EQ(sampler.columns()[1][1], 10.0);
 
-  const std::string csv = sampler.to_csv();
-  EXPECT_NE(csv.find("time_ps,events,level"), std::string::npos);
-  EXPECT_NE(csv.find("1000,10,"), std::string::npos);
+  // The Perfetto form: one track per label, each on the shared time axis.
+  const std::vector<CounterSeries> series = sampler.counter_series();
+  ASSERT_EQ(series.size(), 2u);
+  EXPECT_EQ(series[0].track, "events");
+  EXPECT_EQ(series[1].track, "level");
+  for (const CounterSeries& cs : series) EXPECT_EQ(cs.times, sampler.times());
+  EXPECT_EQ(series[0].values, sampler.columns()[0]);
+  EXPECT_EQ(series[1].values, sampler.columns()[1]);
 }
 
 TEST(TimeSeriesSampler, UnstartedSamplerSchedulesNothing) {

@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -440,7 +439,7 @@ TEST(ParallelEquivalence, LossyTrunksMatchMonolithic) {
 
 struct TraceRun {
   std::string perfetto;
-  std::string csv;
+  std::set<std::uint64_t> trace_ids;
   sim::Snapshot pdes;  ///< the engine's private self-profile registry
 };
 
@@ -464,20 +463,11 @@ TraceRun run_fat_tree_allreduce_traced(unsigned threads) {
   net.finalize_metrics();
   TraceRun t;
   t.perfetto = sim::spans_to_perfetto(net.span_buffers());
-  t.csv = sim::spans_to_csv(net.span_buffers());
+  for (const sim::SpanBuffer* buf : net.span_buffers()) {
+    for (std::size_t i = 0; i < buf->size(); ++i) t.trace_ids.insert(buf->at(i).trace_id);
+  }
   t.pdes = psim.metrics().snapshot();
   return t;
-}
-
-std::set<std::string> trace_ids_of(const std::string& csv) {
-  std::set<std::string> ids;
-  std::istringstream in(csv);
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    ids.insert(line.substr(0, line.find(',')));
-  }
-  return ids;
 }
 
 TEST(ParallelEquivalence, FatTreeTraceOutputIdenticalAcrossThreads) {
@@ -486,12 +476,11 @@ TEST(ParallelEquivalence, FatTreeTraceOutputIdenticalAcrossThreads) {
 
   // Sampling decisions and span ids are pure functions of (flow, seq,
   // seed); recording order within a shard never depends on the worker
-  // count — so both exports must be byte-identical, not just equivalent.
+  // count — so the export must be byte-identical, not just equivalent.
   ASSERT_FALSE(par1.perfetto.empty());
   EXPECT_EQ(par1.perfetto, par4.perfetto);
-  EXPECT_EQ(par1.csv, par4.csv);
-  EXPECT_EQ(trace_ids_of(par1.csv), trace_ids_of(par4.csv));
-  EXPECT_GT(trace_ids_of(par1.csv).size(), 1u);  // head-sampling kept some flows
+  EXPECT_EQ(par1.trace_ids, par4.trace_ids);
+  EXPECT_GT(par1.trace_ids.size(), 1u);  // head-sampling kept some flows
 
   // The PDES self-profile must be populated for every shard — values are
   // wall-clock (nondeterministic), so only presence and shape are pinned.

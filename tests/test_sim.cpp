@@ -283,22 +283,5 @@ TEST(Histogram, RecordAfterQuantileStillSorted) {
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
 }
 
-TEST(Rate, GigaPerSecond) {
-  // 1000 events in 1 microsecond = 1 Gop/s.
-  const Rate r{1000, kMicrosecond};
-  EXPECT_DOUBLE_EQ(r.giga_per_second(), 1.0);
-}
-
-TEST(Throughput, Gbps) {
-  // 125 bytes in 1 ns = 1000 Gbps.
-  const Throughput t{125, kNanosecond};
-  EXPECT_DOUBLE_EQ(t.gbps(), 1000.0);
-}
-
-TEST(RateAndThroughput, EmptyElapsedIsZero) {
-  EXPECT_DOUBLE_EQ((Rate{100, 0}).per_second(), 0.0);
-  EXPECT_DOUBLE_EQ((Throughput{100, 0}).gbps(), 0.0);
-}
-
 }  // namespace
 }  // namespace adcp::sim

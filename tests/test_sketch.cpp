@@ -1,4 +1,4 @@
-// Tests for the probabilistic state substrates (Count-Min, Bloom).
+// Tests for the probabilistic state substrate (Count-Min sketch).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -70,36 +70,6 @@ TEST(CountMin, CellsReportResourceUse) {
   EXPECT_EQ(sketch.cells(), 384u);
   EXPECT_EQ(sketch.width(), 128u);
   EXPECT_EQ(sketch.depth(), 3u);
-}
-
-TEST(Bloom, NoFalseNegatives) {
-  BloomFilter bloom(4096, 3);
-  for (std::uint64_t k = 0; k < 200; ++k) bloom.insert(k * 7 + 1);
-  for (std::uint64_t k = 0; k < 200; ++k) EXPECT_TRUE(bloom.maybe_contains(k * 7 + 1));
-}
-
-TEST(Bloom, FalsePositiveRateReasonable) {
-  BloomFilter bloom(8192, 4);
-  for (std::uint64_t k = 0; k < 500; ++k) bloom.insert(k);
-  int fps = 0;
-  for (std::uint64_t probe = 1'000'000; probe < 1'010'000; ++probe) {
-    if (bloom.maybe_contains(probe)) ++fps;
-  }
-  // 500 keys in 8192 bits with 4 hashes -> fp ~ 0.2%; allow 10x slack.
-  EXPECT_LT(fps, 200);
-}
-
-TEST(Bloom, EmptyContainsNothing) {
-  const BloomFilter bloom(1024, 3);
-  for (std::uint64_t k = 0; k < 100; ++k) EXPECT_FALSE(bloom.maybe_contains(k));
-}
-
-TEST(Bloom, ResetClears) {
-  BloomFilter bloom(1024, 3);
-  bloom.insert(42);
-  ASSERT_TRUE(bloom.maybe_contains(42));
-  bloom.reset();
-  EXPECT_FALSE(bloom.maybe_contains(42));
 }
 
 }  // namespace

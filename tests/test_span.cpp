@@ -1,5 +1,5 @@
 // Packet-span tracing: deterministic head-sampling, the flight-recorder
-// ring, recorder no-op gating, and the Perfetto / CSV exporters.
+// ring, recorder no-op gating, and the Perfetto exporter.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -154,18 +154,6 @@ TEST(PerfettoExport, BytesAreIndependentOfBufferArrivalInterleaving) {
   const std::string merged = spans_to_perfetto({&one});
   EXPECT_EQ(spans_to_perfetto({&a, &b}), merged);
   EXPECT_EQ(spans_to_perfetto({&b, &a}), merged);
-  EXPECT_EQ(spans_to_csv({&a, &b}), spans_to_csv({&b, &a}));
-}
-
-TEST(CsvExport, RowsCarryAllColumnsInDeterministicOrder) {
-  const SpanBuffer buf = scene();
-  const std::string csv = spans_to_csv({&buf});
-  EXPECT_EQ(csv.find("trace_id,component,kind,begin_ps,end_ps,a0,a1\n"), 0u);
-  EXPECT_NE(csv.find("0xb,sw0,rx,100,200,3,128\n"), std::string::npos);
-  EXPECT_NE(csv.find("0x17,sw1,drop,450,450,3,0\n"), std::string::npos);
-  // Sorted by begin time: rx@100 before tx@250 before rx@400.
-  EXPECT_LT(csv.find("rx,100"), csv.find("tx,250"));
-  EXPECT_LT(csv.find("tx,250"), csv.find("rx,400"));
 }
 
 TEST(WriteTextFile, RoundTripsAndFailsOnBadPath) {

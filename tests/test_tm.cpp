@@ -77,63 +77,6 @@ TEST(FifoScheduler, IgnoresClass) {
   EXPECT_TRUE(s.empty());
 }
 
-TEST(StrictPriority, LowerClassFirst) {
-  StrictPriorityScheduler s(3);
-  s.enqueue(2, make_pkt(22, 0));
-  s.enqueue(0, make_pkt(20, 0));
-  s.enqueue(1, make_pkt(21, 0));
-  EXPECT_EQ(s.dequeue()->meta.flow_id, 20u);
-  EXPECT_EQ(s.dequeue()->meta.flow_id, 21u);
-  EXPECT_EQ(s.dequeue()->meta.flow_id, 22u);
-}
-
-TEST(StrictPriority, OutOfRangeClassMapsToLowest) {
-  StrictPriorityScheduler s(2);
-  s.enqueue(99, make_pkt(1, 0));
-  EXPECT_EQ(s.packets(), 1u);
-  EXPECT_TRUE(s.dequeue().has_value());
-}
-
-TEST(Drr, ApproximatesByteFairness) {
-  DrrScheduler s(2, 200);
-  // Class 0: large packets; class 1: small packets.
-  for (int i = 0; i < 20; ++i) {
-    packet::IncPacketSpec big;
-    big.inc.flow_id = 100;
-    big.pad_to = 400;
-    s.enqueue(0, packet::make_inc_packet(big));
-    packet::IncPacketSpec small;
-    small.inc.flow_id = 200;
-    small.pad_to = 100;
-    s.enqueue(1, packet::make_inc_packet(small));
-  }
-  std::uint64_t bytes0 = 0, bytes1 = 0;
-  for (int i = 0; i < 20; ++i) {
-    const auto pkt = s.dequeue();
-    ASSERT_TRUE(pkt.has_value());
-    (pkt->meta.flow_id == 100 ? bytes0 : bytes1) += pkt->size();
-  }
-  // Served bytes should be within ~2 quanta of each other.
-  EXPECT_NEAR(static_cast<double>(bytes0), static_cast<double>(bytes1), 900.0);
-}
-
-TEST(Drr, WorkConservingWithTinyQuantum) {
-  DrrScheduler s(2, 1);  // quantum smaller than any packet
-  s.enqueue(0, make_pkt(1, 0));
-  EXPECT_TRUE(s.dequeue().has_value());  // must still serve
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(Drr, DrainsEverything) {
-  DrrScheduler s(4, 100);
-  for (std::uint32_t k = 0; k < 4; ++k) {
-    for (std::uint32_t i = 0; i < 5; ++i) s.enqueue(k, make_pkt(k, i));
-  }
-  int served = 0;
-  while (s.dequeue().has_value()) ++served;
-  EXPECT_EQ(served, 20);
-}
-
 std::uint64_t seq_key(const packet::Packet& pkt) {
   packet::IncHeader inc;
   return packet::decode_inc(pkt, inc) ? inc.seq : 0;
