@@ -3,6 +3,7 @@
 #include "packet/fields.hpp"
 #include "packet/headers.hpp"
 #include "tm/placement.hpp"
+#include "topo/programs.hpp"
 
 namespace adcp::ctrl {
 
@@ -13,38 +14,8 @@ using packet::fields::kIncOpcode;
 using packet::fields::kIncWorkerId;
 using packet::fields::kIpDst;
 using packet::fields::kIpSrc;
-using packet::fields::kIpTtl;
-using packet::fields::kMetaDrop;
-using packet::fields::kMetaEgressPort;
 using packet::fields::kMetaFlowHash;
-using packet::fields::kUdpDst;
-using packet::fields::kUdpSrc;
 using topo::ForwardingTable;
-
-/// Same action as the builder's routing programs: TTL check + decrement,
-/// then FIB lookup on the flow fields (local copy — the original lives in
-/// topo/programs.cpp's anonymous namespace). Reuses/writes back the cached
-/// ECMP hash in kMetaFlowHash so later hops skip the recompute.
-void route_and_decrement(Phv& phv, const ForwardingTable& fib) {
-  const std::uint64_t ttl = phv.get_or(kIpTtl, 0);
-  if (ttl <= 1) {
-    phv.set(kMetaDrop, 1);
-    return;
-  }
-  phv.set(kIpTtl, ttl - 1);
-  std::uint64_t flow_hash = phv.get_or(kMetaFlowHash, 0);
-  const packet::PortId port = fib.lookup_cached(
-      static_cast<std::uint32_t>(phv.get_or(kIpDst, 0)),
-      static_cast<std::uint32_t>(phv.get_or(kIpSrc, 0)),
-      static_cast<std::uint16_t>(phv.get_or(kUdpSrc, 0)),
-      static_cast<std::uint16_t>(phv.get_or(kUdpDst, 0)), flow_hash);
-  if (flow_hash != 0) phv.set(kMetaFlowHash, flow_hash);
-  if (port == ForwardingTable::kNoRoute) {
-    phv.set(kMetaDrop, 1);
-    return;
-  }
-  phv.set(kMetaEgressPort, port);
-}
 
 /// The shared churn action; returns the stage cycle cost (1 for pure
 /// routing, 2 when the versioned store was consulted — one extra table
@@ -53,7 +24,7 @@ std::uint64_t run_churn(Phv& phv, const ForwardingTable& fib,
                         mat::VersionedStore& store) {
   const auto opcode = static_cast<packet::IncOpcode>(phv.get_or(kIncOpcode, 0));
   if (opcode != packet::IncOpcode::kChurnQuery) {
-    route_and_decrement(phv, fib);
+    topo::route_and_decrement(phv, fib);
     return 1;
   }
   const auto key = static_cast<std::uint32_t>(phv.get_or(kIncWorkerId, 0));
@@ -70,25 +41,18 @@ std::uint64_t run_churn(Phv& phv, const ForwardingTable& fib,
   }
   // Miss (or staged-but-uncommitted): the query continues unchanged to the
   // backing store. Either way the packet takes the normal routing tail.
-  route_and_decrement(phv, fib);
+  topo::route_and_decrement(phv, fib);
   return 2;
 }
 
-/// Churn contract: like the routing contract, plus the store — queries are
+/// Churn contract: topo's routing contract plus the store — queries are
 /// looked up live on every cache hit, and the store's mutation counter
 /// (bumped by kCtrlUpdate stage()s and commit flips) feeds invalidation.
 fastpath::FastpathContract churn_contract(
     const std::shared_ptr<const topo::ForwardingTable>& fib,
     mat::VersionedStore* store, std::size_t parse_max_elems) {
-  fastpath::FastpathContract c;
-  c.route = [fib](std::uint32_t ip_dst, std::uint32_t ip_src,
-                  std::uint16_t udp_src, std::uint16_t udp_dst) {
-    return fib->lookup(ip_dst, ip_src, udp_src, udp_dst);
-  };
-  c.fib_version = fib->version_ptr();
+  fastpath::FastpathContract c = topo::routing_contract(fib, parse_max_elems);
   c.store = store;
-  c.passthrough_edges = true;
-  c.parse_max_elems = parse_max_elems;
   return c;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "packet/fields.hpp"
 #include "packet/headers.hpp"
@@ -72,37 +73,34 @@ void Deparser::deparse_into(const Phv& phv, const Packet& original,
   if (phv.get_or(fields::kMetaDrop, 0) != 0) out.meta.drop = true;
 }
 
+std::vector<EmitOp> inc_header_emits() {
+  namespace f = fields;
+  return {
+      // Ethernet.
+      EmitScalar{f::kEthDst, 6}, EmitScalar{f::kEthSrc, 6}, EmitScalar{f::kEthType, 2},
+      // IPv4: version/IHL, TOS, length, id, flags, TTL, protocol, checksum
+      // (not modeled), addresses.
+      EmitConst{0x45, 1}, EmitScalar{f::kIpTos, 1}, EmitScalar{f::kIpLen, 2},
+      EmitConst{0, 2}, EmitConst{0x4000, 2}, EmitScalar{f::kIpTtl, 1},
+      EmitScalar{f::kIpProto, 1}, EmitConst{0, 2}, EmitScalar{f::kIpSrc, 4},
+      EmitScalar{f::kIpDst, 4},
+      // UDP; checksum not modeled.
+      EmitScalar{f::kUdpSrc, 2}, EmitScalar{f::kUdpDst, 2}, EmitScalar{f::kUdpLen, 2},
+      EmitConst{0, 2},
+      // INC fixed header.
+      EmitScalar{f::kIncOpcode, 1}, EmitScalar{f::kIncElemCount, 1},
+      EmitScalar{f::kIncCoflowId, 2}, EmitScalar{f::kIncFlowId, 4},
+      EmitScalar{f::kIncSeq, 4}, EmitScalar{f::kIncWorkerId, 4},
+  };
+}
+
 Deparser standard_deparser() {
-  // Assembles exactly the layout of make_inc_packet(). Length fields are
-  // emitted as placeholders here; deposit via a final fix-up is handled by
-  // re-deriving them from the element count field, which the pipeline
-  // program is responsible for keeping equal to the array size (the
-  // standard programs in src/core do this).
-  std::vector<EmitOp> ops;
-  ops.push_back(EmitScalar{fields::kEthDst, 6});
-  ops.push_back(EmitScalar{fields::kEthSrc, 6});
-  ops.push_back(EmitScalar{fields::kEthType, 2});
-  ops.push_back(EmitConst{0x45, 1});
-  ops.push_back(EmitScalar{fields::kIpTos, 1});
-  ops.push_back(EmitScalar{fields::kIpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitConst{0x4000, 2});
-  ops.push_back(EmitScalar{fields::kIpTtl, 1});
-  ops.push_back(EmitScalar{fields::kIpProto, 1});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{fields::kIpSrc, 4});
-  ops.push_back(EmitScalar{fields::kIpDst, 4});
-  ops.push_back(EmitScalar{fields::kUdpSrc, 2});
-  ops.push_back(EmitScalar{fields::kUdpDst, 2});
-  ops.push_back(EmitScalar{fields::kUdpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{fields::kIncOpcode, 1});
-  ops.push_back(EmitScalar{fields::kIncElemCount, 1});
-  ops.push_back(EmitScalar{fields::kIncCoflowId, 2});
-  ops.push_back(EmitScalar{fields::kIncFlowId, 4});
-  ops.push_back(EmitScalar{fields::kIncSeq, 4});
-  ops.push_back(EmitScalar{fields::kIncWorkerId, 4});
-  ops.push_back(EmitArray{{{array_fields::kIncKeys, 4}, {array_fields::kIncValues, 4}}});
+  // Assembles exactly the layout of make_inc_packet(). A program that
+  // resizes the key/value arrays keeps kIncElemCount equal to the array
+  // size itself (the standard programs in src/core do this).
+  std::vector<EmitOp> ops = inc_header_emits();
+  ops.emplace_back(std::in_place_type<EmitArray>,
+                   EmitArray{{{array_fields::kIncKeys, 4}, {array_fields::kIncValues, 4}}});
   return Deparser{std::move(ops)};
 }
 

@@ -64,8 +64,13 @@ class Deparser {
   std::vector<EmitOp> ops_;
 };
 
+/// Emit ops for the Ethernet/IPv4/UDP headers and the fixed INC header of
+/// make_inc_packet()'s layout; every INC deparser appends its element area.
+std::vector<EmitOp> inc_header_emits();
+
 /// Deparser matching `standard_parse_graph()`: Ethernet/IPv4/UDP/INC with
-/// key/value arrays. Length fields are recomputed from the array size.
+/// key/value arrays. The element area follows the array size; length fields
+/// are emitted as the PHV carries them.
 Deparser standard_deparser();
 
 }  // namespace adcp::packet

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mat/action.hpp"
@@ -93,36 +94,11 @@ packet::ParseGraph scalar_unrolled_parse_graph(std::size_t elems) {
 }
 
 packet::Deparser scalar_unrolled_deparser(std::size_t elems) {
-  using packet::EmitConst;
   using packet::EmitScalar;
-  namespace f = packet::fields;
-  std::vector<packet::EmitOp> ops;
-  ops.push_back(EmitScalar{f::kEthDst, 6});
-  ops.push_back(EmitScalar{f::kEthSrc, 6});
-  ops.push_back(EmitScalar{f::kEthType, 2});
-  ops.push_back(EmitConst{0x45, 1});
-  ops.push_back(EmitScalar{f::kIpTos, 1});
-  ops.push_back(EmitScalar{f::kIpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitConst{0x4000, 2});
-  ops.push_back(EmitScalar{f::kIpTtl, 1});
-  ops.push_back(EmitScalar{f::kIpProto, 1});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{f::kIpSrc, 4});
-  ops.push_back(EmitScalar{f::kIpDst, 4});
-  ops.push_back(EmitScalar{f::kUdpSrc, 2});
-  ops.push_back(EmitScalar{f::kUdpDst, 2});
-  ops.push_back(EmitScalar{f::kUdpLen, 2});
-  ops.push_back(EmitConst{0, 2});
-  ops.push_back(EmitScalar{f::kIncOpcode, 1});
-  ops.push_back(EmitScalar{f::kIncElemCount, 1});
-  ops.push_back(EmitScalar{f::kIncCoflowId, 2});
-  ops.push_back(EmitScalar{f::kIncFlowId, 4});
-  ops.push_back(EmitScalar{f::kIncSeq, 4});
-  ops.push_back(EmitScalar{f::kIncWorkerId, 4});
+  std::vector<packet::EmitOp> ops = packet::inc_header_emits();
   for (std::size_t i = 0; i < elems; ++i) {
-    ops.push_back(EmitScalar{user_field(2 * i), 4});
-    ops.push_back(EmitScalar{user_field(2 * i + 1), 4});
+    ops.emplace_back(std::in_place_type<EmitScalar>, EmitScalar{user_field(2 * i), 4});
+    ops.emplace_back(std::in_place_type<EmitScalar>, EmitScalar{user_field(2 * i + 1), 4});
   }
   return packet::Deparser{std::move(ops)};
 }

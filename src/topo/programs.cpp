@@ -25,15 +25,17 @@ using packet::fields::kMetaRecircPass;
 using packet::fields::kUdpDst;
 using packet::fields::kUdpSrc;
 
-/// The one routing action all three tiers share: TTL check + decrement,
-/// then FIB lookup on the flow fields. Expired TTL or a missing route
-/// drops the packet in the pipe (kMetaDrop), which the switch accounts as
-/// a no-route drop. The ECMP hash carried in kMetaFlowHash (if any) is
-/// reused and the first computation is written back, so later hops skip
-/// the recompute (all FIBs in a fabric share one seed). `decrement` is
-/// false on an RMT recirculation pass: the first pass already charged the
-/// hop, and a second decrement would corrupt the hop-count probe.
-void route_and_decrement(Phv& phv, const ForwardingTable& fib, bool decrement = true) {
+/// Only data INC packets feed the heavy-hitter sketch — the same opcode
+/// window the telemetry taps stamp, so the sketch's ground truth (the
+/// taps' flow ledgers) counts exactly the sketched population.
+bool sketchable(const Phv& phv) {
+  const std::uint64_t op = phv.get_or(kIncOpcode, 0);
+  return op != 0 && op < static_cast<std::uint64_t>(packet::IncOpcode::kCtrlUpdate);
+}
+
+}  // namespace
+
+void route_and_decrement(Phv& phv, const ForwardingTable& fib, bool decrement) {
   if (decrement) {
     const std::uint64_t ttl = phv.get_or(kIpTtl, 0);
     if (ttl <= 1) {
@@ -56,17 +58,6 @@ void route_and_decrement(Phv& phv, const ForwardingTable& fib, bool decrement = 
   phv.set(kMetaEgressPort, port);
 }
 
-/// Only data INC packets feed the heavy-hitter sketch — the same opcode
-/// window the telemetry taps stamp, so the sketch's ground truth (the
-/// taps' flow ledgers) counts exactly the sketched population.
-bool sketchable(const Phv& phv) {
-  const std::uint64_t op = phv.get_or(kIncOpcode, 0);
-  return op != 0 && op < static_cast<std::uint64_t>(packet::IncOpcode::kCtrlUpdate);
-}
-
-/// The fast-path contract every pure routing program can vouch for: the
-/// verdict is a function of the 5-tuple alone, edge pipelines stay empty,
-/// and the FIB version counter gates invalidation.
 fastpath::FastpathContract routing_contract(
     const std::shared_ptr<const ForwardingTable>& fib,
     std::size_t parse_max_elems) {
@@ -80,8 +71,6 @@ fastpath::FastpathContract routing_contract(
   c.parse_max_elems = parse_max_elems;
   return c;
 }
-
-}  // namespace
 
 rmt::RmtProgram rmt_routing_program(const rmt::RmtConfig& /*config*/,
                                     std::shared_ptr<const ForwardingTable> fib,

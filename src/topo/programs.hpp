@@ -8,10 +8,13 @@
 // switch via shared_ptr and is read-only after construction.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "core/config.hpp"
 #include "core/program.hpp"
+#include "fastpath/fastpath.hpp"
+#include "packet/phv.hpp"
 #include "rmt/config.hpp"
 #include "rmt/program.hpp"
 #include "rtc/config.hpp"
@@ -20,6 +23,22 @@
 #include "topo/routing.hpp"
 
 namespace adcp::topo {
+
+/// The one routing action all three tiers share: TTL check + decrement,
+/// then FIB lookup on the flow fields. Expired TTL or a missing route
+/// drops the packet in the pipe (kMetaDrop), which the switch accounts as
+/// a no-route drop. The ECMP hash carried in kMetaFlowHash (if any) is
+/// reused and the first computation is written back, so later hops skip
+/// the recompute (all FIBs in a fabric share one seed). `decrement` is
+/// false on an RMT recirculation pass: the first pass already charged the
+/// hop, and a second decrement would corrupt the hop-count probe.
+void route_and_decrement(packet::Phv& phv, const ForwardingTable& fib, bool decrement = true);
+
+/// The fast-path contract every pure routing program can vouch for: the
+/// verdict is a function of the 5-tuple alone, edge pipelines stay empty,
+/// and the FIB version counter gates invalidation.
+fastpath::FastpathContract routing_contract(const std::shared_ptr<const ForwardingTable>& fib,
+                                            std::size_t parse_max_elems);
 
 // Passing a telem::HeavyHitterSketch arms the PRECISION-style heavy-hitter
 // program alongside routing (DESIGN.md §14): every data INC packet updates
