@@ -139,7 +139,7 @@ int main() {
                 a.makespan_us, a.keys_per_us,
                 (r.complete && a.complete) ? "" : "  [INCOMPLETE]",
                 (r.bad_sums + a.bad_sums) == 0 ? "" : "  [BAD SUMS]");
-    sim::Scope row = report.scope("k" + std::to_string(k));
+    sim::Scope row = report.scope('k' + std::to_string(k));
     row.gauge("rmt.sram_blocks").set(static_cast<double>(r.sram_blocks));
     row.gauge("rmt.makespan_us").set(r.makespan_us);
     row.gauge("rmt.keys_per_us").set(r.keys_per_us);

@@ -65,7 +65,7 @@ int main() {
     std::printf("%-6u %-12zu %16.1f%% %18.1f%% %14.2fx\n", k,
                 packet::inc_packet_bytes(k), 100.0 * analytic_goodput(k),
                 100.0 * measured, analytic_goodput(k) / scalar);
-    sim::Scope row = report.scope("k" + std::to_string(k));
+    sim::Scope row = report.scope('k' + std::to_string(k));
     row.gauge("wire_bytes").set(static_cast<double>(packet::inc_packet_bytes(k)));
     row.gauge("analytic_goodput").set(analytic_goodput(k));
     row.gauge("measured_goodput").set(measured);

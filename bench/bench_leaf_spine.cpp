@@ -440,7 +440,7 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
       const double speedup = par.wall_ms > 0 ? mono.wall_ms / par.wall_ms : 0.0;
       std::printf("  t%-2u:        %8.2f ms  speedup %5.2fx  %s\n", n, par.wall_ms,
                   speedup, deterministic ? "match" : "DIVERGE");
-      sim::Scope ts = s.scope("t" + std::to_string(n));
+      sim::Scope ts = s.scope('t' + std::to_string(n));
       ts.gauge("wall_ms").set(par.wall_ms);
       ts.gauge("speedup").set(speedup);
       ts.gauge("events").set(static_cast<double>(par.events));

@@ -667,7 +667,7 @@ int run_thread_sweep(const std::vector<unsigned>& thread_counts, bool quick,
     const double speedup = ns_per_op > 0 ? t1_ns_per_op / ns_per_op : 0.0;
     std::printf("parallel_fabric t%-2u %10.1f ns/event %8.2f ms  speedup %5.2fx%s\n",
                 n, ns_per_op, ns / 1e6, speedup, ok ? "" : "  FAILED");
-    adcp::sim::Scope ts = sc.scope("t" + std::to_string(n));
+    adcp::sim::Scope ts = sc.scope('t' + std::to_string(n));
     ts.gauge("wall_ms").set(ns / 1e6);
     ts.gauge("ns_per_op").set(ns_per_op);
     ts.gauge("ops_per_sec").set(ns_per_op > 0 ? 1e9 / ns_per_op : 0.0);

@@ -86,7 +86,7 @@ TEST(GcellGrid, ConvergingNetsOverflowSharedCells) {
   GcellGrid g(16, 16, 4.0);
   const auto center = g.add_block(Block{"tm", 7, 7, 2, 2});
   for (std::uint32_t i = 0; i < 8; ++i) {
-    const auto p = g.add_block(Block{"p" + std::to_string(i), i * 2, 0, 1, 1});
+    const auto p = g.add_block(Block{'p' + std::to_string(i), i * 2, 0, 1, 1});
     g.add_net(Net{p, center, 8});
   }
   const CongestionReport r = g.route();

@@ -23,7 +23,7 @@ TEST(Stage, AddMauBoundedByCountAndSram) {
   Stage stage(0, small_stage());
   for (int i = 0; i < 4; ++i) {
     mat::ExactTable t(4);
-    EXPECT_TRUE(stage.add_mau(mat::MatchActionUnit("m" + std::to_string(i), f::kUser0,
+    EXPECT_TRUE(stage.add_mau(mat::MatchActionUnit('m' + std::to_string(i), f::kUser0,
                                                    std::move(t)),
                               2));
   }
