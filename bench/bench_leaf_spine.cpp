@@ -14,11 +14,13 @@
 // the monolithic simulator, once sharded at --threads 1 (the par-vs-par
 // reference, whose measured per-shard busy_ns feed the LPT packer for the
 // wider runs), and once per remaining entry of the --threads comma list.
-// Every run is checked against the determinism contract (final time +
-// snapshot hash vs monolithic, exact event count vs threads=1, event skew
-// vs monolithic <= 16) and BENCH_parallel.json gets a per-thread-count
-// series (<scale>.t<N>.{wall_ms,speedup,events,determinism.match}) next
-// to the headline <scale>.speedup row (the widest thread count).
+// Every run must complete the allreduce and conserve packets (host tx ==
+// host rx + host-link drops + trunk drops), and is checked against the
+// determinism contract (final time + snapshot hash vs monolithic, exact
+// event count vs threads=1, event skew vs monolithic <= 16).
+// BENCH_parallel.json gets a per-thread-count series
+// (<scale>.t<N>.{wall_ms,speedup,events,determinism.match}) next to the
+// headline <scale>.speedup row (the widest thread count).
 //
 // --trace-out PATH arms packet-span tracing (every flow sampled) and
 // writes the merged Chrome trace-event JSON there (open in
@@ -27,22 +29,23 @@
 // the determinism verdict, writes the sharded run's trace, and drops the
 // PDES busy/barrier self-profile next to it as PATH.pdes.json.
 //
-// --tier-profile full|slim selects the construction profile for every
-// fabric built (default slim: first-touch state + shared templates). The
-// parallel bench additionally measures construction itself per scale —
-// both profiles, wall-clock + RSS + byte accounting — as the
-// <scale>.construction.{slim,full}.* / construction.speedup series in
-// BENCH_parallel.json (the full arm is RAM-gated: it costs what the
-// configs declare, ~19 GB for an eager ADCP fat_tree(8)).
+// Every run builds its fabric with the default slim profile (first-touch
+// state + shared templates). The parallel bench additionally measures
+// construction itself per scale — both profiles, wall-clock + RSS + byte
+// accounting — as the <scale>.construction.{slim,full}.* /
+// construction.speedup series in BENCH_parallel.json. The full arm costs
+// what the configs declare (~19 GB for an eager ADCP fat_tree(8)), so it
+// is RAM-gated, and --quick skips it.
+//
+// Exit codes: 0 on success, 1 when a run fails a gate or the report cannot
+// be written, 2 on a bad command line.
 //
 // Usage: bench_leaf_spine [--quick] [--out PATH] [--trace-out PATH]
 //                         [--scale S1,S2,...] [--threads N1,N2,...]
-//                         [--tier-profile full|slim]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,17 +80,16 @@ struct FabricResult {
   std::uint64_t host_rx = 0;
   std::uint64_t drops = 0;
   std::uint64_t events = 0;
+  bool allreduce_complete = false;
 };
 
-FabricResult run_fabric(topo::SwitchKind kind, const topo::TierProfile& profile, bool quick,
-                        const std::string& trace_out) {
+FabricResult run_fabric(topo::SwitchKind kind, bool quick, const std::string& trace_out) {
   sim::Simulator sim;
   topo::LeafSpineParams p;
   p.leaves = 4;
   p.spines = 2;
   p.hosts_per_leaf = 16;
   p.kind = kind;
-  p.profile = profile;
   if (!trace_out.empty()) p.trace.sample_every = 1;
   topo::Network net(sim, p);
 
@@ -125,13 +127,18 @@ FabricResult run_fabric(topo::SwitchKind kind, const topo::TierProfile& profile,
   const sim::Time ar_start = sim.now();
   allreduce.start(ar_start);
   r.events += sim.run();
-  if (!allreduce.complete()) std::fprintf(stderr, "allreduce did not complete!\n");
-  r.reduce_cct_us =
-      static_cast<double>(tracker.record(ar.reduce_coflow)->completion_time()) / 1e6;
-  r.bcast_cct_us =
-      static_cast<double>(tracker.record(ar.bcast_coflow)->completion_time()) / 1e6;
-  r.allreduce_total_us =
-      static_cast<double>(tracker.record(ar.bcast_coflow)->finish.value() - ar_start) / 1e6;
+  r.allreduce_complete = allreduce.complete();
+  if (r.allreduce_complete) {
+    r.reduce_cct_us =
+        static_cast<double>(tracker.record(ar.reduce_coflow)->completion_time()) / 1e6;
+    r.bcast_cct_us =
+        static_cast<double>(tracker.record(ar.bcast_coflow)->completion_time()) / 1e6;
+    r.allreduce_total_us =
+        static_cast<double>(tracker.record(ar.bcast_coflow)->finish.value() - ar_start) / 1e6;
+  } else {
+    // The broadcast coflow never started, so it has no record to read.
+    std::fprintf(stderr, "allreduce did not complete!\n");
+  }
 
   net.finalize_metrics();
   r.hops_p50 = net.hops().quantile(0.5);
@@ -154,21 +161,15 @@ FabricResult run_fabric(topo::SwitchKind kind, const topo::TierProfile& profile,
 
 // --- parallel scaling bench ------------------------------------------------
 
-constexpr std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 struct ScaleResult {
   std::uint64_t events = 0;
   sim::Time now = 0;
   std::uint64_t hash = 0;
   double wall_ms = 0;
   bool complete = false;
+  std::uint64_t host_tx = 0;
+  std::uint64_t host_rx = 0;
+  std::uint64_t drops = 0;  ///< host-link + trunk drops
   std::string trace;       ///< Perfetto JSON when tracing was requested
   std::string pdes_trace;  ///< PDES busy/barrier profile (parallel only)
   sim::Snapshot pdes;      ///< engine self-profile metrics (parallel only)
@@ -203,8 +204,11 @@ ScaleResult run_scale(topo::Network& net, sim::Simulator& ps_sim, bool quick, Ru
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
           .count();
   r.complete = allreduce.complete();
+  r.host_tx = net.total_host_tx_packets();
+  r.host_rx = net.total_host_rx_packets();
+  r.drops = net.total_host_link_drops() + net.total_trunk_drops();
   net.finalize_metrics();
-  r.hash = fnv1a(net.merged_snapshot().to_json("scale"));
+  r.hash = bench::fnv1a(net.merged_snapshot().to_json("scale"));
   if (net.trace_config().enabled()) {
     r.trace = sim::spans_to_perfetto(net.span_buffers());
   }
@@ -310,9 +314,11 @@ double mem_available_bytes() {
 /// slim arm runs first — it leaves almost nothing resident, keeping the
 /// full arm's RSS delta honest — and its bytes_reserved (identical to what
 /// full will touch) RAM-gates the full arm: an eager ADCP fat_tree(8)
-/// wants ~19 GB, which a laptop-class runner cannot provide.
+/// wants ~19 GB, which a laptop-class runner cannot provide. `quick` skips
+/// the full arm outright (an eager leaf_spine alone costs seconds and
+/// GBs); a skipped arm reports <scope>.full.skipped = 1.
 template <typename Params>
-void bench_construction(sim::Scope scope, Params p) {
+void bench_construction(sim::Scope scope, Params p, bool quick) {
   struct Arm {
     const char* name;
     topo::TierProfile profile;
@@ -324,6 +330,11 @@ void bench_construction(sim::Scope scope, Params p) {
   double reserved_estimate = 0.0;
   for (const Arm& arm : arms) {
     sim::Scope as = scope.scope(arm.name);
+    if (arm.profile.eager_state && quick) {
+      std::printf("  construction.full: skipped (--quick)\n");
+      as.gauge("skipped").set(1.0);
+      continue;
+    }
     if (arm.profile.eager_state && reserved_estimate > 0.0) {
       const double avail = mem_available_bytes();
       if (avail > 0.0 && reserved_estimate * 1.25 + 1e9 > avail) {
@@ -368,8 +379,7 @@ void bench_construction(sim::Scope scope, Params p) {
 constexpr std::uint64_t kMaxEventSkew = 16;
 
 int run_parallel_bench(const std::string& scale_csv, const std::string& threads_csv,
-                       const topo::TierProfile& profile, bool quick, const std::string& out,
-                       const std::string& trace_out) {
+                       bool quick, const std::string& out, const std::string& trace_out) {
   const std::vector<std::string> scales = split_csv(scale_csv);
   std::vector<unsigned> thread_counts;
   for (const std::string& t : split_csv(threads_csv)) {
@@ -389,7 +399,6 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
   // actually available; CI gates read this before trusting them.
   report.gauge("config.hardware_threads")
       .set(static_cast<double>(std::thread::hardware_concurrency()));
-  report.gauge("config.tier_profile_full").set(profile.eager_state ? 1.0 : 0.0);
   report.gauge("config.git_sha").set(adcp::bench::git_sha());
 
   bool all_ok = true;
@@ -401,10 +410,8 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
   // ParallelSimulator::run()), which per-packet spans expose even though
   // every aggregate metric agrees.
   const auto bench_one = [&](const std::string& scale, auto p) {
-    p.profile = profile;
-    std::printf("construction sweep: %s (%s profile for the runs below)\n", scale.c_str(),
-                profile.name());
-    bench_construction(report.scope(scale).scope("construction"), p);
+    std::printf("construction sweep: %s (slim profile for the runs below)\n", scale.c_str());
+    bench_construction(report.scope(scale).scope("construction"), p, quick);
     const ScaleResult mono = run_scale_monolithic(p, quick, trace);
     // threads=1 first: the par-vs-par reference AND the measured cost
     // model — its per-shard busy_ns feed set_shard_weights for every
@@ -429,11 +436,30 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
     s.gauge("monolithic.events").set(static_cast<double>(mono.events));
     s.gauge("events.skew").set(static_cast<double>(skew));
 
-    bool scale_ok = skew_ok && mono.complete && par1.complete;
+    // Every run, the 1-worker reference included, must finish the
+    // allreduce and account for every packet a host sent.
+    const auto run_ok = [&scale](const std::string& run, const ScaleResult& r) {
+      if (!r.complete) {
+        std::fprintf(stderr, "%s %s: allreduce did not complete!\n", scale.c_str(),
+                     run.c_str());
+      }
+      const bool conserved = r.host_tx == r.host_rx + r.drops;
+      if (!conserved) {
+        std::fprintf(stderr, "%s %s: host tx %llu != host rx %llu + drops %llu\n",
+                     scale.c_str(), run.c_str(), static_cast<unsigned long long>(r.host_tx),
+                     static_cast<unsigned long long>(r.host_rx),
+                     static_cast<unsigned long long>(r.drops));
+      }
+      return r.complete && conserved;
+    };
+    const bool mono_ok = run_ok("monolithic", mono);
+    const bool par1_ok = run_ok("t1", par1);
+    bool scale_ok = skew_ok && mono_ok && par1_ok;
     ScaleResult widest;
     for (const unsigned n : thread_counts) {
       const ScaleResult par =
           n == 1 ? par1 : run_scale_parallel(p, quick, n, trace, &busy, nullptr);
+      const bool par_ok = n == 1 ? par1_ok : run_ok('t' + std::to_string(n), par);
       const bool trace_match = !trace || par.trace == par1.trace;
       const bool deterministic = mono.now == par.now && mono.hash == par.hash &&
                                  par.events == par1.events && trace_match;
@@ -446,7 +472,7 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
       ts.gauge("events").set(static_cast<double>(par.events));
       ts.gauge("determinism.match").set(deterministic ? 1.0 : 0.0);
       if (trace) ts.gauge("determinism.trace_match").set(trace_match ? 1.0 : 0.0);
-      scale_ok = scale_ok && deterministic && par.complete;
+      scale_ok = scale_ok && deterministic && par_ok;
       if (n == thread_counts.back()) {
         // Headline row (what the CI speedup floor reads) + the legacy
         // single-threads-value schema, kept at the widest configuration.
@@ -461,9 +487,6 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
       std::fprintf(stderr, "%s: event skew %llu exceeds %llu\n", scale.c_str(),
                    static_cast<unsigned long long>(skew),
                    static_cast<unsigned long long>(kMaxEventSkew));
-    }
-    if (!mono.complete || !widest.complete) {
-      std::fprintf(stderr, "%s: allreduce did not complete!\n", scale.c_str());
     }
 
     if (trace) {
@@ -526,8 +549,8 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
   // is too.
   sim::Snapshot snap = report.snapshot();
   if (scales.size() == 1) snap.merge(pdes_snap);
-  adcp::bench::write_report(snap, "parallel", out);
-  return all_ok ? 0 : 1;
+  const bool wrote = adcp::bench::write_report(snap, "parallel", out);
+  return all_ok && wrote ? 0 : 1;
 }
 
 }  // namespace
@@ -538,22 +561,27 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string scale = "leaf_spine";
   std::string threads;  // empty = legacy two-tier bench, no parallel engine
-  std::string profile_name = "slim";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out = argv[++i];
-    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) trace_out = argv[++i];
-    if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) scale = argv[++i];
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) threads = argv[++i];
-    if (std::strcmp(argv[i], "--tier-profile") == 0 && i + 1 < argc) profile_name = argv[++i];
-  }
-  const std::optional<topo::TierProfile> profile = topo::TierProfile::parse(profile_name);
-  if (!profile) {
-    std::fprintf(stderr, "unknown --tier-profile '%s' (full | slim)\n", profile_name.c_str());
-    return 2;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out = argv[++i];
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      trace_out = argv[++i];
+    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
+      scale = argv[++i];
+    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+      threads = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--quick] [--out PATH] [--trace-out PATH] "
+                   "[--scale S1,S2,...] [--threads N1,N2,...]\n",
+                   argv[0]);
+      return 2;
+    }
   }
   if (!threads.empty() && threads != "0") {
-    return run_parallel_bench(scale, threads, *profile, quick, out, trace_out);
+    return run_parallel_bench(scale, threads, quick, out, trace_out);
   }
 
   std::printf("leaf–spine fabric (4 leaves x 16 hosts, 2 spines): cross-rack coflows\n\n");
@@ -567,15 +595,17 @@ int main(int argc, char** argv) {
     topo::SwitchKind kind;
   } tiers[] = {{"rmt", topo::SwitchKind::kRmt}, {"adcp", topo::SwitchKind::kAdcp}};
   bool conserved = true;
+  bool complete = true;
   for (const auto& tier : tiers) {
     // Only the ADCP tier (the paper's subject) gets traced in legacy mode.
     const bool adcp_tier = tier.kind == topo::SwitchKind::kAdcp;
-    const FabricResult r = run_fabric(tier.kind, *profile, quick, adcp_tier ? trace_out : "");
+    const FabricResult r = run_fabric(tier.kind, quick, adcp_tier ? trace_out : "");
     std::printf("%-6s %-14.2f %-12.2f %-12.2f %-14.2f %-10.1f %-10.3f %-10.3f %-10llu\n",
                 tier.name, r.incast_cct_us, r.reduce_cct_us, r.bcast_cct_us,
                 r.allreduce_total_us, r.hops_p50, r.ecmp_imbalance, r.trunk_max_util,
                 static_cast<unsigned long long>(r.reordered));
     conserved = conserved && (r.host_tx == r.host_rx + r.drops);
+    complete = complete && r.allreduce_complete;
     sim::Scope s = report.scope(tier.name);
     s.gauge("incast.cct_us").set(r.incast_cct_us);
     s.gauge("allreduce.reduce_cct_us").set(r.reduce_cct_us);
@@ -597,6 +627,6 @@ int main(int argc, char** argv) {
       "tx == rx (lossless conservation%s). ADCP pays its central-pipe traversal\n"
       "on every hop; RMT routes in the ingress pipes.\n",
       conserved ? ": holds" : ": VIOLATED");
-  adcp::bench::write_report(report, "leaf_spine", out);
-  return conserved ? 0 : 1;
+  const bool wrote = adcp::bench::write_report(report, "leaf_spine", out);
+  return conserved && complete && wrote ? 0 : 1;
 }

@@ -2,21 +2,30 @@
 //
 // These measure the *simulator's* own hot paths (host-machine ns/op), not
 // modeled switch time: parser, deparser, tables, stateful ALU, array
-// engine, TM, pipeline advance, and the event kernel.
+// engine, TM, pipeline advance, the event kernel, and one switch of each
+// pipelined model forwarding all-to-all traffic. A benchmark that reports
+// an error (SkipWithError) makes the binary exit 1; so does an unwritable
+// BENCH_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
 #include "bench_report.hpp"
+#include "core/adcp_switch.hpp"
+#include "core/programs.hpp"
 #include "mat/array_engine.hpp"
 #include "mat/register.hpp"
 #include "mat/table.hpp"
+#include "net/host.hpp"
 #include "packet/deparser.hpp"
 #include "packet/headers.hpp"
 #include "packet/parser.hpp"
 #include "packet/pool.hpp"
 #include "pipeline/pipeline.hpp"
+#include "rmt/programs.hpp"
+#include "rmt/rmt_switch.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "tm/traffic_manager.hpp"
 
@@ -168,6 +177,88 @@ void BM_SimulatorSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSteadyState);
 
+// Kernel churn: each iteration schedules 1000 events at random offsets, a
+// quarter of them through cancelable handles, cancels half of those, and
+// runs the batch. Items are events fired.
+void BM_EventKernelChurn(benchmark::State& state) {
+  sim::Simulator sim;
+  sim::Rng rng(0x5eed0000ull);
+  std::int64_t fired = 0;
+  std::vector<sim::EventHandle> cancelable;
+  cancelable.reserve(250);
+  for (auto _ : state) {
+    cancelable.clear();
+    for (int i = 0; i < 1000; ++i) {
+      const auto at = sim.now() + 1 + rng.uniform(0, 5000);
+      if (i % 4 == 0) {
+        cancelable.push_back(sim.at(at, [&fired] { ++fired; }));
+      } else {
+        sim.at(at, [&fired] { ++fired; });
+      }
+    }
+    for (std::size_t i = 0; i < cancelable.size(); i += 2) cancelable[i].cancel();
+    sim.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(fired);
+}
+BENCHMARK(BM_EventKernelChurn);
+
+packet::IncPacketSpec spec_to_host(std::uint32_t dst_host, std::uint32_t flow,
+                                   std::uint32_t seq) {
+  packet::IncPacketSpec spec;
+  spec.ip_dst = 0x0a000000 | dst_host;
+  spec.inc.opcode = packet::IncOpcode::kPlain;
+  spec.inc.flow_id = flow;
+  spec.inc.seq = seq;
+  spec.inc.elements.push_back({seq, seq * 2});
+  return spec;
+}
+
+// One all-to-all round per iteration on an 8-host single-switch fabric:
+// every host sends one packet to every other host, then the simulator
+// drains. Items are events executed.
+void run_all_to_all(benchmark::State& state, sim::Simulator& sim, net::Fabric& fabric) {
+  std::int64_t executed = 0;
+  std::uint32_t seq = 0;
+  for (auto _ : state) {
+    for (std::uint32_t s = 0; s < 8; ++s) {
+      for (std::uint32_t d = 0; d < 8; ++d) {
+        if (s != d) fabric.host(s).send_inc(spec_to_host(d, s * 100 + d, seq));
+      }
+    }
+    executed += static_cast<std::int64_t>(sim.run());
+    benchmark::DoNotOptimize(executed);
+    ++seq;
+  }
+  state.SetItemsProcessed(executed);
+}
+
+void BM_RmtAllToAll(benchmark::State& state) {
+  sim::Simulator sim;
+  rmt::RmtConfig cfg;
+  cfg.port_count = 8;
+  cfg.pipeline_count = 2;
+  rmt::RmtSwitch sw(sim, cfg);
+  sw.load_program(rmt::forward_program(cfg));
+  net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
+  run_all_to_all(state, sim, fabric);
+}
+BENCHMARK(BM_RmtAllToAll);
+
+void BM_AdcpAllToAll(benchmark::State& state) {
+  sim::Simulator sim;
+  core::AdcpConfig cfg;
+  cfg.port_count = 8;
+  cfg.demux_factor = 2;
+  cfg.central_pipeline_count = 2;
+  core::AdcpSwitch sw(sim, cfg);
+  sw.load_program(core::forward_program(cfg));
+  net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
+  run_all_to_all(state, sim, fabric);
+}
+BENCHMARK(BM_AdcpAllToAll);
+
 // Reuse-API variants of the substrate benches: the switch data paths call
 // parse_into/deparse_into with pooled packets, so these measure the hot
 // path as deployed (no per-call Buffer/Phv allocations).
@@ -216,6 +307,10 @@ void BM_TmEnqueueDequeuePooled(benchmark::State& state) {
     packet::make_inc_packet_into(spec, pkt);
     tm.enqueue(out & 15, 0, std::move(pkt));
     auto got = tm.dequeue(out & 15);
+    if (!got) {
+      state.SkipWithError("TM dequeue lost the enqueued packet");
+      break;
+    }
     benchmark::DoNotOptimize(got->size());
     pool.release(std::move(*got));
     ++out;
@@ -226,14 +321,20 @@ BENCHMARK(BM_TmEnqueueDequeuePooled);
 
 /// Console output as usual, plus every run mirrored into a MetricRegistry
 /// ("<name>.ns_per_op" / "<name>.items_per_sec") so the micro numbers ship
-/// in the same adcp-metrics-v1 schema as every other bench.
+/// in the same adcp-metrics-v1 schema as every other bench. Remembers
+/// whether any run reported an error.
 class RegistryReporter final : public benchmark::ConsoleReporter {
  public:
   explicit RegistryReporter(sim::MetricRegistry* registry) : registry_(registry) {}
 
+  [[nodiscard]] bool failed() const { return failed_; }
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred) {
+        failed_ = true;
+        continue;
+      }
       // Benchmark names may carry arg suffixes ("BM_ParserReuse/16");
       // '/' nests them as registry scopes.
       std::string name = run.benchmark_name();
@@ -253,6 +354,7 @@ class RegistryReporter final : public benchmark::ConsoleReporter {
 
  private:
   sim::MetricRegistry* registry_;
+  bool failed_ = false;
 };
 
 }  // namespace
@@ -264,6 +366,6 @@ int main(int argc, char** argv) {
   RegistryReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  bench::write_report(report, "micro");
-  return 0;
+  const bool wrote = bench::write_report(report, "micro");
+  return wrote && !reporter.failed() ? 0 : 1;
 }

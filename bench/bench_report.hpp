@@ -6,9 +6,11 @@
 // machine-readable half.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "sim/metrics.hpp"
@@ -27,6 +29,17 @@ namespace adcp::bench {
 /// — CI reconfigures every run, local incremental builds may lag by one.
 inline double git_sha() {
   return static_cast<double>(std::strtoul(ADCP_GIT_SHA, nullptr, 16));
+}
+
+/// 64-bit FNV-1a of `s`. The benches hash snapshot JSON and Perfetto
+/// trace bytes with it to check two runs for byte equality.
+constexpr std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// Writes an already-assembled snapshot as BENCH_<name>.json (or `path`

@@ -19,8 +19,9 @@
 // Armed runs are re-executed on the sharded engine at 1/2/4/8 workers and
 // every merged snapshot must hash identically to the sequential run
 // (determinism.match) — stamping is a pure function of simulator state.
-// The INT simulator overhead (ns of wall clock per executed event, int vs
-// off) is reported per architecture as int_overhead_pct.
+// The INT simulator overhead (wall ns per packet delivered to the sink,
+// int vs off) is reported per architecture as int_overhead_pct, and the
+// same ratio per executed event as int_overhead_per_event_pct.
 //
 // --trace-out writes a Perfetto trace of the ADCP int run with one counter
 // track per switch TM high-watermark gauge ("sw<i>.tm.watermark_bytes")
@@ -156,23 +157,16 @@ void start_incast(topo::Network& net, const WorkloadShape& w) {
   }
 }
 
-constexpr std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 struct CellResult {
   std::uint64_t events = 0;
   double wall_ms = 0;
   double ns_per_op = 0;
+  double ns_per_pkt = 0;  ///< wall ns per packet delivered to the sink
   sim::Time now = 0;
   std::uint64_t hash = 0;
   std::uint64_t tx = 0;
   std::uint64_t rx = 0;
+  std::uint64_t sink_rx = 0;  ///< host 0 only: total rx also counts reports
   // Telemetry view (zero in off mode).
   std::uint64_t stamps = 0;
   std::uint64_t stamp_bytes = 0;
@@ -208,9 +202,11 @@ CellResult run_once(const Params& p0, Mode mode, const WorkloadShape& w) {
   net.finalize_metrics();
   r.ns_per_op = r.events > 0 ? r.wall_ms * 1e6 / static_cast<double>(r.events) : 0.0;
   r.now = sim.now();
-  r.hash = fnv1a(net.merged_snapshot().to_json("telem"));
+  r.hash = bench::fnv1a(net.merged_snapshot().to_json("telem"));
   r.tx = net.total_host_tx_packets();
   r.rx = net.total_host_rx_packets();
+  r.sink_rx = net.host(0).rx_packets();
+  r.ns_per_pkt = r.sink_rx > 0 ? r.wall_ms * 1e6 / static_cast<double>(r.sink_rx) : 0.0;
 
   if (net.telemetry_armed()) {
     // Switch 0 is the sink's leaf: every delivered packet crossed it, so
@@ -300,7 +296,7 @@ std::pair<sim::Time, std::uint64_t> run_parallel_pin(Params p, Mode mode,
   start_incast(net, w);
   psim.run();
   net.finalize_metrics();
-  return {psim.now(), fnv1a(net.merged_snapshot().to_json("telem"))};
+  return {psim.now(), bench::fnv1a(net.merged_snapshot().to_json("telem"))};
 }
 
 /// The off.match gate: default-profile vs tweaked-knobs disarmed builds
@@ -314,15 +310,17 @@ bool off_byte_equal(Params p, const WorkloadShape& w, const CellResult& baseline
   sim.run();
   net.finalize_metrics();
   return sim.now() == baseline.now &&
-         fnv1a(net.merged_snapshot().to_json("telem")) == baseline.hash;
+         bench::fnv1a(net.merged_snapshot().to_json("telem")) == baseline.hash;
 }
 
 void export_cell(sim::Scope s, const CellResult& r, Mode mode) {
   s.gauge("events").set(static_cast<double>(r.events));
   s.gauge("wall_ms").set(r.wall_ms);
   s.gauge("ns_per_op").set(r.ns_per_op);
+  s.gauge("ns_per_pkt").set(r.ns_per_pkt);
   s.gauge("host.tx_packets").set(static_cast<double>(r.tx));
   s.gauge("host.rx_packets").set(static_cast<double>(r.rx));
+  s.gauge("sink.rx_packets").set(static_cast<double>(r.sink_rx));
   if (mode == Mode::kOff) return;
   s.gauge("stamps").set(static_cast<double>(r.stamps));
   s.gauge("stamp_bytes").set(static_cast<double>(r.stamp_bytes));
@@ -381,8 +379,8 @@ int main(int argc, char** argv) {
   for (const topo::SwitchKind kind : kinds) {
     const char* arch = kind == topo::SwitchKind::kRmt ? "rmt" : "adcp";
     for (const Topo& t : topos) {
-      double off_ns_per_op = 0;
-      double int_ns_per_op = 0;
+      CellResult off;
+      CellResult armed;
       for (const Mode mode : modes) {
         // Both topology shapes end up with 16 hosts; the fat tree just
         // spreads them over three switch tiers instead of two.
@@ -425,7 +423,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.paths), r.recall, r.precision);
 
         if (mode == Mode::kOff) {
-          off_ns_per_op = r.ns_per_op;
+          off = r;
           const bool match = t.fat_tree ? off_byte_equal(ft, w, r)
                                         : off_byte_equal(ls, w, r);
           cell.gauge("match").set(match ? 1.0 : 0.0);
@@ -436,7 +434,7 @@ int main(int argc, char** argv) {
           }
           continue;
         }
-        if (mode == Mode::kInt) int_ns_per_op = r.ns_per_op;
+        if (mode == Mode::kInt) armed = r;
 
         // Armed sanity: the observatory saw traffic end to end.
         if (r.stamps == 0 || r.reports == 0 || r.paths == 0) {
@@ -475,11 +473,17 @@ int main(int argc, char** argv) {
         cell.gauge("determinism.match").set(det ? 1.0 : 0.0);
         ok = ok && det;
       }
-      if (!t.fat_tree && off_ns_per_op > 0) {
-        const double pct = (int_ns_per_op / off_ns_per_op - 1.0) * 100.0;
+      // Armed runs execute more events per delivered packet (postcards,
+      // reports, the collector), so the headline divides wall time by the
+      // packets the sink received; per event is the secondary figure.
+      if (!t.fat_tree && off.ns_per_pkt > 0 && off.ns_per_op > 0) {
+        const double pct = (armed.ns_per_pkt / off.ns_per_pkt - 1.0) * 100.0;
+        const double per_event_pct = (armed.ns_per_op / off.ns_per_op - 1.0) * 100.0;
         report.scope(arch).gauge("int_overhead_pct").set(pct);
-        std::printf("%-6s INT simulator overhead: %+.1f%% ns/op (off %.1f -> int %.1f)\n",
-                    arch, pct, off_ns_per_op, int_ns_per_op);
+        report.scope(arch).gauge("int_overhead_per_event_pct").set(per_event_pct);
+        std::printf("%-6s INT simulator overhead: %+.1f%% ns/delivered pkt (off %.1f -> "
+                    "int %.1f), %+.1f%% ns/event\n",
+                    arch, pct, off.ns_per_pkt, armed.ns_per_pkt, per_event_pct);
       }
     }
   }

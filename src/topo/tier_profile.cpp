@@ -11,16 +11,6 @@ TierProfile TierProfile::full() {
   return p;
 }
 
-TierProfile TierProfile::preset(Preset p) {
-  return p == Preset::kFull ? full() : slim();
-}
-
-std::optional<TierProfile> TierProfile::parse(std::string_view name) {
-  if (name == "full") return full();
-  if (name == "slim") return slim();
-  return std::nullopt;
-}
-
 std::uint32_t TierProfile::rmt_pipelines_for(std::uint32_t ports) {
   for (std::uint32_t d : {4u, 2u}) {
     if (ports % d == 0) return d;

@@ -26,8 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 
 #include "core/config.hpp"
 #include "packet/deparser.hpp"
@@ -44,8 +42,6 @@ enum class SwitchKind { kRmt, kAdcp, kRtc };
 /// How every switch of a fabric tier is provisioned. Default-constructed
 /// == slim(): lazy first-touch state, shared templates.
 struct TierProfile {
-  enum class Preset { kFull, kSlim };
-
   /// Materialize all stage register/array backing stores at construction
   /// (the legacy build; costs what the configs declare).
   bool eager_state = false;
@@ -74,11 +70,6 @@ struct TierProfile {
   static TierProfile slim();
   /// The legacy eager baseline: everything materialized, nothing shared.
   static TierProfile full();
-  static TierProfile preset(Preset p);
-  /// Parses a CLI spelling ("full" / "slim"); nullopt otherwise.
-  static std::optional<TierProfile> parse(std::string_view name);
-
-  [[nodiscard]] const char* name() const { return eager_state ? "full" : "slim"; }
 
   /// Largest pipeline count in {4, 2, 1} dividing `ports` (RMT requires
   /// port_count % pipeline_count == 0; trunk ports make odd totals

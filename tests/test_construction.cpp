@@ -45,13 +45,6 @@ TEST(TierProfile, PresetsAndParse) {
   EXPECT_TRUE(slim.share_templates);
   EXPECT_TRUE(full.eager_state);
   EXPECT_FALSE(full.share_templates);
-  EXPECT_STREQ(slim.name(), "slim");
-  EXPECT_STREQ(full.name(), "full");
-
-  ASSERT_TRUE(topo::TierProfile::parse("slim").has_value());
-  ASSERT_TRUE(topo::TierProfile::parse("full").has_value());
-  EXPECT_FALSE(topo::TierProfile::parse("full")->share_templates);
-  EXPECT_FALSE(topo::TierProfile::parse("medium").has_value());
 }
 
 TEST(TierProfile, PipelineCountFoldedIntoRmtConfig) {
