@@ -27,6 +27,7 @@ struct Outcome {
   std::uint64_t marks = 0;
   double makespan_us = 0.0;
   bool all_complete = true;
+  bool series_written = true;  ///< false when the requested series could not be written
 };
 
 /// When `series_path` is set, a TimeSeriesSampler polls TM2's shared-buffer
@@ -77,16 +78,11 @@ Outcome run(std::uint32_t senders, bool react, const char* series_path = nullptr
   }
   sim.run();
 
-  if (sampler.has_value()) {
-    const std::string json = sim::spans_to_perfetto({}, sampler->counter_series(), 1e-6);
-    if (sim::write_text_file(series_path, json)) {
-      std::printf("wrote %s\n", series_path);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", series_path);
-    }
-  }
-
   Outcome o;
+  if (sampler.has_value()) {
+    o.series_written = bench::write_trace(
+        series_path, sim::spans_to_perfetto({}, sampler->counter_series(), 1e-6));
+  }
   o.peak_buffer = sw.tm2().buffer().peak();
   o.drops = sw.tm2().stats().dropped;
   o.marks = sw.tm2().stats().ecn_marked;
@@ -130,12 +126,12 @@ int main() {
   const auto horizon =
       static_cast<sim::Time>(dctcp8_makespan_us * sim::kMicrosecond) +
       5 * sim::kMicrosecond;
-  run(8, true, "TRACE_ecn_dctcp.json", horizon);
+  const bool traced = run(8, true, "TRACE_ecn_dctcp.json", horizon).series_written;
   std::printf(
       "\nExpected shape: blind senders grow into deep queues (peak scales with\n"
       "incast degree); reacting senders hold the queue near the threshold at a\n"
       "small makespan cost — the marking signal the TM produces is sufficient\n"
       "for end-host congestion control, with no switch drops needed.\n");
-  bench::write_report(report, "ecn_dctcp");
-  return 0;
+  const bool wrote = bench::write_report(report, "ecn_dctcp");
+  return traced && wrote ? 0 : 1;
 }

@@ -29,16 +29,13 @@
 // the determinism verdict, writes the sharded run's trace, and drops the
 // PDES busy/barrier self-profile next to it as PATH.pdes.json.
 //
-// Every run builds its fabric with the default slim profile (first-touch
-// state + shared templates). The parallel bench additionally measures
-// construction itself per scale — both profiles, wall-clock + RSS + byte
-// accounting — as the <scale>.construction.{slim,full}.* /
-// construction.speedup series in BENCH_parallel.json. The full arm costs
-// what the configs declare (~19 GB for an eager ADCP fat_tree(8)), so it
-// is RAM-gated, and --quick skips it.
+// The parallel bench also measures construction itself per scale — one
+// traffic-free build, wall-clock + RSS + byte accounting — as the
+// <scale>.construction.{build_ms,rss_bytes,bytes_reserved,bytes_touched,
+// templates_built,templates_shared} series in BENCH_parallel.json.
 //
-// Exit codes: 0 on success, 1 when a run fails a gate or the report cannot
-// be written, 2 on a bad command line.
+// Exit codes: 0 on success, 1 when a run fails a gate or the report or a
+// trace cannot be written, 2 on a bad command line.
 //
 // Usage: bench_leaf_spine [--quick] [--out PATH] [--trace-out PATH]
 //                         [--scale S1,S2,...] [--threads N1,N2,...]
@@ -81,6 +78,7 @@ struct FabricResult {
   std::uint64_t drops = 0;
   std::uint64_t events = 0;
   bool allreduce_complete = false;
+  bool trace_written = true;  ///< false when the requested trace could not be written
 };
 
 FabricResult run_fabric(topo::SwitchKind kind, bool quick, const std::string& trace_out) {
@@ -150,11 +148,8 @@ FabricResult run_fabric(topo::SwitchKind kind, bool quick, const std::string& tr
   r.drops = net.total_host_link_drops() + net.total_trunk_drops();
   for (std::size_t i = 0; i < net.host_count(); ++i) r.reordered += net.host(i).rx_reordered();
   if (!trace_out.empty()) {
-    if (sim::write_text_file(trace_out, sim::spans_to_perfetto(net.span_buffers()))) {
-      std::printf("wrote %s\n", trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-    }
+    r.trace_written =
+        adcp::bench::write_trace(trace_out, sim::spans_to_perfetto(net.span_buffers()));
   }
   return r;
 }
@@ -264,7 +259,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-// --- construction sweep ----------------------------------------------------
+// --- construction cost -----------------------------------------------------
 
 /// Resident set size right now, from /proc/self/statm (0 off Linux).
 /// Register-file backing stores are >128 KB so glibc mmaps them; RSS
@@ -285,93 +280,24 @@ double rss_bytes_now() {
 #endif
 }
 
-/// MemAvailable from /proc/meminfo (0 when unknown) — gates the eager arm.
-double mem_available_bytes() {
-#ifdef __linux__
-  std::FILE* f = std::fopen("/proc/meminfo", "r");
-  if (f == nullptr) return 0.0;
-  char key[64];
-  long long kb = 0;
-  char unit[16];
-  double avail = 0.0;
-  while (std::fscanf(f, "%63s %lld %15s", key, &kb, unit) == 3) {
-    if (std::strcmp(key, "MemAvailable:") == 0) {
-      avail = static_cast<double>(kb) * 1024.0;
-      break;
-    }
-  }
-  std::fclose(f);
-  return avail;
-#else
-  return 0.0;
-#endif
-}
-
-/// Builds the fabric under both tier profiles (no traffic) and records the
-/// construction cost series: <scope>.{slim,full}.{build_ms, rss_bytes,
-/// bytes_reserved, bytes_touched, templates_built, templates_shared} plus
-/// the headline <scope>.speedup and <scope>.rss_ratio (full / slim). The
-/// slim arm runs first — it leaves almost nothing resident, keeping the
-/// full arm's RSS delta honest — and its bytes_reserved (identical to what
-/// full will touch) RAM-gates the full arm: an eager ADCP fat_tree(8)
-/// wants ~19 GB, which a laptop-class runner cannot provide. `quick` skips
-/// the full arm outright (an eager leaf_spine alone costs seconds and
-/// GBs); a skipped arm reports <scope>.full.skipped = 1.
+/// Builds the fabric (no traffic) and records what construction cost:
+/// <scope>.{build_ms, rss_bytes, bytes_reserved, bytes_touched,
+/// templates_built, templates_shared}.
 template <typename Params>
-void bench_construction(sim::Scope scope, Params p, bool quick) {
-  struct Arm {
-    const char* name;
-    topo::TierProfile profile;
-  };
-  const Arm arms[] = {{"slim", topo::TierProfile::slim()},
-                      {"full", topo::TierProfile::full()}};
-  double slim_ms = 0.0;
-  double slim_rss = 0.0;
-  double reserved_estimate = 0.0;
-  for (const Arm& arm : arms) {
-    sim::Scope as = scope.scope(arm.name);
-    if (arm.profile.eager_state && quick) {
-      std::printf("  construction.full: skipped (--quick)\n");
-      as.gauge("skipped").set(1.0);
-      continue;
-    }
-    if (arm.profile.eager_state && reserved_estimate > 0.0) {
-      const double avail = mem_available_bytes();
-      if (avail > 0.0 && reserved_estimate * 1.25 + 1e9 > avail) {
-        std::printf("  construction.full: skipped (wants ~%.1f GB, %.1f GB available)\n",
-                    reserved_estimate / 1e9, avail / 1e9);
-        as.gauge("skipped").set(1.0);
-        continue;
-      }
-    }
-    const double rss0 = rss_bytes_now();
-    Params q = p;
-    q.profile = arm.profile;
-    sim::Simulator sim;
-    topo::Network net(sim, q);
-    const double rss = std::max(0.0, rss_bytes_now() - rss0);
-    const auto& c = net.construction();
-    net.export_construction(as);
-    as.gauge("rss_bytes").set(rss);
-    as.gauge("skipped").set(0.0);
-    std::printf("  construction.%s: %8.2f ms  rss %8.1f MB  touched %8.1f MB"
-                "  (reserved %.1f MB, %llu templates, %llu shared)\n",
-                arm.name, c.build_ms, rss / 1e6,
-                static_cast<double>(c.bytes_touched) / 1e6,
-                static_cast<double>(c.bytes_reserved) / 1e6,
-                static_cast<unsigned long long>(c.templates_built),
-                static_cast<unsigned long long>(c.templates_shared));
-    if (!arm.profile.eager_state) {
-      slim_ms = c.build_ms;
-      slim_rss = rss;
-      reserved_estimate = static_cast<double>(c.bytes_reserved);
-    } else if (slim_ms > 0.0) {
-      scope.gauge("speedup").set(c.build_ms / slim_ms);
-      if (slim_rss > 0.0) scope.gauge("rss_ratio").set(rss / slim_rss);
-      std::printf("  construction: slim is %.1fx faster, %.1fx smaller RSS\n",
-                  c.build_ms / slim_ms, slim_rss > 0.0 ? rss / slim_rss : 0.0);
-    }
-  }
+void bench_construction(sim::Scope scope, const Params& p) {
+  const double rss0 = rss_bytes_now();
+  sim::Simulator sim;
+  topo::Network net(sim, p);
+  const double rss = std::max(0.0, rss_bytes_now() - rss0);
+  const auto& c = net.construction();
+  net.export_construction(scope);
+  scope.gauge("rss_bytes").set(rss);
+  std::printf("  build: %8.2f ms  rss %8.1f MB  touched %8.1f MB"
+              "  (reserved %.1f MB, %llu templates, %llu shared)\n",
+              c.build_ms, rss / 1e6, static_cast<double>(c.bytes_touched) / 1e6,
+              static_cast<double>(c.bytes_reserved) / 1e6,
+              static_cast<unsigned long long>(c.templates_built),
+              static_cast<unsigned long long>(c.templates_shared));
 }
 
 /// Mono-vs-sharded executed-event skew beyond this is a real divergence
@@ -410,8 +336,8 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
   // ParallelSimulator::run()), which per-packet spans expose even though
   // every aggregate metric agrees.
   const auto bench_one = [&](const std::string& scale, auto p) {
-    std::printf("construction sweep: %s (slim profile for the runs below)\n", scale.c_str());
-    bench_construction(report.scope(scale).scope("construction"), p, quick);
+    std::printf("construction: %s\n", scale.c_str());
+    bench_construction(report.scope(scale).scope("construction"), p);
     const ScaleResult mono = run_scale_monolithic(p, quick, trace);
     // threads=1 first: the par-vs-par reference AND the measured cost
     // model — its per-shard busy_ns feed set_shard_weights for every
@@ -494,17 +420,9 @@ int run_parallel_bench(const std::string& scale_csv, const std::string& threads_
       // exact path (what trace_smoke and the CI artifact glob expect).
       const std::string path =
           scales.size() == 1 ? trace_out : trace_out + "." + scale;
-      if (sim::write_text_file(path, widest.trace)) {
-        std::printf("wrote %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      }
-      const std::string pdes_path = path + ".pdes.json";
-      if (sim::write_text_file(pdes_path, widest.pdes_trace)) {
-        std::printf("wrote %s\n", pdes_path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", pdes_path.c_str());
-      }
+      const bool wrote_trace = adcp::bench::write_trace(path, widest.trace);
+      const bool wrote_pdes = adcp::bench::write_trace(path + ".pdes.json", widest.pdes_trace);
+      all_ok = all_ok && wrote_trace && wrote_pdes;
     }
     pdes_snap = widest.pdes;
     all_ok = all_ok && scale_ok;
@@ -596,6 +514,7 @@ int main(int argc, char** argv) {
   } tiers[] = {{"rmt", topo::SwitchKind::kRmt}, {"adcp", topo::SwitchKind::kAdcp}};
   bool conserved = true;
   bool complete = true;
+  bool traced = true;
   for (const auto& tier : tiers) {
     // Only the ADCP tier (the paper's subject) gets traced in legacy mode.
     const bool adcp_tier = tier.kind == topo::SwitchKind::kAdcp;
@@ -606,6 +525,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.reordered));
     conserved = conserved && (r.host_tx == r.host_rx + r.drops);
     complete = complete && r.allreduce_complete;
+    traced = traced && r.trace_written;
     sim::Scope s = report.scope(tier.name);
     s.gauge("incast.cct_us").set(r.incast_cct_us);
     s.gauge("allreduce.reduce_cct_us").set(r.reduce_cct_us);
@@ -628,5 +548,5 @@ int main(int argc, char** argv) {
       "on every hop; RMT routes in the ingress pipes.\n",
       conserved ? ": holds" : ": VIOLATED");
   const bool wrote = adcp::bench::write_report(report, "leaf_spine", out);
-  return conserved && complete && wrote ? 0 : 1;
+  return conserved && complete && traced && wrote ? 0 : 1;
 }

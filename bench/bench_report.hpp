@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "sim/metrics.hpp"
+#include "sim/span.hpp"
 
 // First 8 hex digits of the commit the build was configured from, injected
 // by bench/CMakeLists.txt (absent in ad-hoc compiles of this header).
@@ -51,6 +52,19 @@ inline bool write_report(const sim::Snapshot& snap, const std::string& name,
                          std::string path = {}) {
   if (path.empty()) path = "BENCH_" + name + ".json";
   const bool ok = snap.write_json(path, name);
+  if (ok) {
+    std::printf("wrote %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  }
+  return ok;
+}
+
+/// Writes a trace (Perfetto JSON) to `path`. Returns false (and says so)
+/// if the file cannot be written; benches fail their run on it, as they do
+/// on an unwritable report.
+inline bool write_trace(const std::string& path, std::string_view json) {
+  const bool ok = sim::write_text_file(path, json);
   if (ok) {
     std::printf("wrote %s\n", path.c_str());
   } else {

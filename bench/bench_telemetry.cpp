@@ -29,7 +29,8 @@
 //
 // Output: BENCH_telemetry.json with one <arch>.<mode>.<topo>.* series per
 // cell. Exit code gates off.match == 1, determinism.match == 1, reports
-// flowing, and sketch recall >= 0.9 on every sketch cell.
+// flowing, and sketch recall >= 0.9 on every sketch cell; it is also 1 when
+// the report or the trace cannot be written.
 //
 // Usage: bench_telemetry [--quick] [--out PATH] [--trace-out PATH]
 #include <chrono>
@@ -115,7 +116,7 @@ telem::TelemetryProfile telemetry_profile(Mode mode, bool tweak) {
 /// makes the modes comparable) and TMs small enough that the incast
 /// congests — drops feed the postcard ledger, CE marks the ECN one.
 topo::TierProfile tier_profile(Mode mode, bool tweak = false) {
-  topo::TierProfile p = topo::TierProfile::slim();
+  topo::TierProfile p;
   p.fastpath_entries = 0;
   p.rmt_base.tm_buffer_bytes = 24 << 10;
   p.rmt_base.ecn_threshold_bytes = 4 << 10;
@@ -258,9 +259,9 @@ CellResult run_sequential(const Params& p, Mode mode, const WorkloadShape& w,
 /// tick would otherwise keep the event queue alive forever), and writes
 /// the Perfetto JSON: packet spans plus one counter track per switch TM
 /// high-water gauge. RMT has one TM; on ADCP the egress-side TM2 is the
-/// queue INT stamps.
+/// queue INT stamps. Returns false when the file cannot be written.
 template <typename Params>
-void export_trace(Params p, Mode mode, const WorkloadShape& w, sim::Time deadline,
+bool export_trace(Params p, Mode mode, const WorkloadShape& w, sim::Time deadline,
                   const std::string& path) {
   p.profile = tier_profile(mode);
   p.trace.sample_every = 16;
@@ -276,13 +277,8 @@ void export_trace(Params p, Mode mode, const WorkloadShape& w, sim::Time deadlin
   start_incast(net, w);
   sim.run_until(deadline);
   sampler.stop();
-  const std::string json =
-      sim::spans_to_perfetto(net.span_buffers(), sampler.counter_series(), 1e-6);
-  if (sim::write_text_file(path, json)) {
-    std::printf("wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-  }
+  return bench::write_trace(
+      path, sim::spans_to_perfetto(net.span_buffers(), sampler.counter_series(), 1e-6));
 }
 
 /// One sharded run; returns (final time, snapshot hash) for the pin.
@@ -372,6 +368,7 @@ int main(int argc, char** argv) {
   sim::MetricRegistry report;
   report.gauge("config.quick").set(quick ? 1.0 : 0.0);
   bool ok = true;
+  bool traced = true;
   std::printf("%-6s %-7s %-11s | %9s %9s | %7s %7s %7s %6s | %7s %7s\n", "arch",
               "mode", "topo", "events", "ns_per_op", "stamps", "reports", "postcd",
               "paths", "recall", "precis");
@@ -407,7 +404,7 @@ int main(int argc, char** argv) {
         }
         if (!trace_out.empty() && mode == Mode::kInt && !t.fat_tree &&
             kind == topo::SwitchKind::kAdcp) {
-          export_trace(ls, mode, w, r.now, trace_out);
+          traced = export_trace(ls, mode, w, r.now, trace_out);
         }
 
         sim::Scope cell = report.scope(std::string(arch) + "." + mode_name(mode) +
@@ -488,7 +485,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!bench::write_report(report, "telemetry", out)) return 1;
+  if (!bench::write_report(report, "telemetry", out) || !traced) return 1;
   if (!ok) {
     std::fprintf(stderr, "FAIL: telemetry gates violated\n");
     return 1;

@@ -20,7 +20,7 @@ void ControlPlane::attach(std::size_t i) {
   const topo::SwitchKind kind = net_->kind_of(i);
   net::SwitchDevice& device = net_->device(i);
   const auto tmpl = net_->template_of(kind, device.port_count());
-  const bool share = net_->profile().share_templates && tmpl != nullptr;
+  assert(tmpl != nullptr && "every fabric switch is built from a template");
 
   // The store registers under the switch's own scope ("topo.sw<i>.ctrl.*"
   // — the shard registry in parallel mode), so merged snapshots carry the
@@ -35,10 +35,8 @@ void ControlPlane::attach(std::size_t i) {
           1, config_.store_capacity / sw.config().pipeline_count);
       auto store = std::make_unique<mat::VersionedStore>(per_pipe, scope);
       rmt::RmtProgram prog = rmt_churn_program(sw.config(), fib, store.get());
-      if (share) {
-        prog.shared_parse = tmpl->parse;
-        prog.shared_deparse = tmpl->deparse;
-      }
+      prog.shared_parse = tmpl->parse;
+      prog.shared_deparse = tmpl->deparse;
       sw.load_program(std::move(prog));
       stores_.emplace(i, std::move(store));
       break;
@@ -47,10 +45,8 @@ void ControlPlane::attach(std::size_t i) {
       auto& sw = static_cast<core::AdcpSwitch&>(device);
       auto store = std::make_unique<mat::VersionedStore>(config_.store_capacity, scope);
       core::AdcpProgram prog = adcp_churn_program(sw.config(), fib, store.get());
-      if (share) {
-        prog.shared_parse = tmpl->parse;
-        prog.shared_deparse = tmpl->deparse;
-      }
+      prog.shared_parse = tmpl->parse;
+      prog.shared_deparse = tmpl->deparse;
       sw.load_program(std::move(prog));
       stores_.emplace(i, std::move(store));
       break;

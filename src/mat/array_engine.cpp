@@ -5,7 +5,7 @@
 namespace adcp::mat {
 
 ArrayMatEngine::ArrayMatEngine(ArrayEngineConfig config)
-    : config_(config), registers_(config.register_cells, config.eager_state) {
+    : config_(config), registers_(config.register_cells) {
   assert(config_.lane_width > 0 && config_.memory_clock_multiplier > 0);
 }
 

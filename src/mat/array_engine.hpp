@@ -43,9 +43,6 @@ struct ArrayEngineConfig {
   std::size_t table_capacity = 65'536;
   /// Cells of the unified stateful register array.
   std::size_t register_cells = 65'536;
-  /// Materialize the register backing store at construction (legacy
-  /// "full" tier profile); by default it appears on first touch.
-  bool eager_state = false;
 };
 
 /// The unified match memory + stateful array shared by a stage's MAU group.

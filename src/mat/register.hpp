@@ -6,12 +6,10 @@
 // discipline real RMT stages enforce.
 //
 // The backing store materializes lazily on the first write ("first
-// touch"): a freshly built file only records its size. Cells are
-// zero-initialized either way, so an unmaterialized file is
-// observationally identical to an eager one — `peek` of an untouched file
-// returns 0, exactly what an eager zeroed vector would hold. This is what
-// makes fabric-slim construction (DESIGN.md §11) bit-identical to the
-// eager build.
+// touch"): a freshly built file only records its size. An unmaterialized
+// file is observationally identical to a zero-filled one — `peek` of an
+// untouched file returns 0 — so a fabric costs what its workload touches,
+// not what its configs declare (DESIGN.md §11).
 #pragma once
 
 #include <cassert>
@@ -36,11 +34,9 @@ enum class AluOp {
 /// A register array within a stage.
 class RegisterFile {
  public:
-  /// `eager` forces immediate materialization (the legacy "full" tier
-  /// profile); by default the store appears on first write.
-  explicit RegisterFile(std::size_t cells, bool eager = false) : size_(cells) {
+  /// Reserves `cells` zeroed cells; the store appears on first write.
+  explicit RegisterFile(std::size_t cells) : size_(cells) {
     StateAccounting::add_reserved(size_ * sizeof(std::uint64_t));
-    if (eager) touch();
   }
 
   /// Applies `op` to cell `index` with `operand`; returns the op's result.
@@ -72,16 +68,17 @@ class RegisterFile {
     for (auto& c : cells_) c = value;
   }
 
-  /// Materializes the zeroed backing store now (idempotent).
+  [[nodiscard]] bool materialized() const { return !cells_.empty() || size_ == 0; }
+
+ private:
+  /// Materializes the zeroed backing store (idempotent); every write path
+  /// calls it first.
   void touch() {
     if (!cells_.empty() || size_ == 0) return;
     cells_.assign(size_, 0);
     StateAccounting::add_touched(size_ * sizeof(std::uint64_t));
   }
 
-  [[nodiscard]] bool materialized() const { return !cells_.empty() || size_ == 0; }
-
- private:
   std::size_t size_;
   std::vector<std::uint64_t> cells_;  // empty until first touch
   std::uint64_t transactions_ = 0;

@@ -35,7 +35,6 @@ using TxHandler = std::function<void(packet::PortId port, packet::Packet pkt)>;
 ///    engines) is reserved, not materialized — it appears on first touch
 ///    (mat::RegisterFile), so building a fabric of thousands of switches
 ///    costs what the workload touches, not what the configs declare.
-///    `StageConfig::eager_state` restores the legacy eager build.
 ///  * `load_program()` must run before traffic. Fabric builders pass
 ///    shared parse/deparse templates (topo::SwitchTemplate) so identical
 ///    switches share one immutable graph.

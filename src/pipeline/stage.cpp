@@ -5,13 +5,9 @@ namespace adcp::pipeline {
 Stage::Stage(std::uint32_t index, const StageConfig& config)
     : index_(index),
       config_(config),
-      registers_(config.register_cells, config.eager_state),
+      registers_(config.register_cells),
       memory_(config.sram_blocks) {
-  if (config.array) {
-    mat::ArrayEngineConfig array = *config.array;
-    array.eager_state = array.eager_state || config.eager_state;
-    array_engine_.emplace(array);
-  }
+  if (config.array) array_engine_.emplace(*config.array);
 }
 
 bool Stage::add_mau(mat::MatchActionUnit mau, std::uint32_t sram_blocks, std::uint32_t copies) {

@@ -26,11 +26,6 @@ struct StageConfig {
   std::size_t register_cells = 65'536;
   /// Present only on ADCP central/array-capable stages.
   std::optional<mat::ArrayEngineConfig> array;
-  /// Materialize register/array backing stores at construction instead of
-  /// on first touch. The legacy "full" tier profile sets this; the default
-  /// first-touch behavior is observationally identical (cells read as zero
-  /// until written either way).
-  bool eager_state = false;
 };
 
 /// A stage instance. Programs attach MAUs (each allocation charged against

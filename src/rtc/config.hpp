@@ -29,9 +29,6 @@ struct RtcConfig {
   std::uint32_t memory_access_cycles = 8;
   /// Packets the central dispatch queue may hold before tail-dropping.
   std::size_t dispatch_queue_packets = 16'384;
-  /// Materialize the shared register/array state at construction (legacy
-  /// "full" tier profile); by default it appears on first touch.
-  bool eager_state = false;
   /// Flow fast-path verdict cache entries (0 disables; rounded up to a
   /// power of two). Armed only when the installed program also provides a
   /// fastpath contract (DESIGN.md §13).

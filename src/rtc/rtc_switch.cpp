@@ -10,8 +10,7 @@ RtcSwitch::RtcSwitch(sim::Simulator& sim, const RtcConfig& config, sim::Scope sc
               config.fastpath_entries),
       config_(config),
       queue_drops_(scope_.counter("drops.dispatch_queue")),
-      latency_(scope_.histogram("latency.residence_ps")),
-      shared_(config.eager_state) {
+      latency_(scope_.histogram("latency.residence_ps")) {
   proc_free_.assign(config.processors, 0);
 }
 

@@ -31,11 +31,8 @@ inline constexpr std::size_t kRtcParseLanes = 64;
 /// per-pipeline), any coflow converges here by construction; the cost is
 /// the per-access cycles in RtcConfig.
 struct SharedState {
-  explicit SharedState(bool eager = false)
-      : registers(1 << 16, eager), engine(mat::ArrayEngineConfig{.eager_state = eager}) {}
-
-  mat::RegisterFile registers;
-  mat::ArrayMatEngine engine;
+  mat::RegisterFile registers{1 << 16};
+  mat::ArrayMatEngine engine{mat::ArrayEngineConfig{}};
 };
 
 /// A run-to-completion program: transforms the PHV against the shared

@@ -23,13 +23,11 @@ double wall_ms() {
       .count();
 }
 
-/// Instantiates one switch from its tier template. `share` installs the
-/// template's parse graph / deparser by shared_ptr (the slim profile);
-/// otherwise the routing program's own copies are used (legacy full
-/// profile — every switch owns its graphs). A non-null `sketch` arms the
-/// PRECISION heavy-hitter program alongside routing (telemetry.sketch).
+/// Instantiates one switch from its tier template; the routing program
+/// installs the template's parse graph / deparser by shared_ptr. A
+/// non-null `sketch` arms the PRECISION heavy-hitter program alongside
+/// routing (telemetry.sketch).
 std::unique_ptr<chassis::Chassis> make_switch(sim::Simulator& sim, const SwitchTemplate& tmpl,
-                                              bool share,
                                               std::shared_ptr<const ForwardingTable> fib,
                                               sim::Scope scope,
                                               telem::HeavyHitterSketch* sketch) {
@@ -37,30 +35,24 @@ std::unique_ptr<chassis::Chassis> make_switch(sim::Simulator& sim, const SwitchT
     case SwitchKind::kRmt: {
       auto sw = std::make_unique<rmt::RmtSwitch>(sim, tmpl.rmt, std::move(scope));
       rmt::RmtProgram prog = rmt_routing_program(tmpl.rmt, std::move(fib), sketch);
-      if (share) {
-        prog.shared_parse = tmpl.parse;
-        prog.shared_deparse = tmpl.deparse;
-      }
+      prog.shared_parse = tmpl.parse;
+      prog.shared_deparse = tmpl.deparse;
       sw->load_program(std::move(prog));
       return sw;
     }
     case SwitchKind::kAdcp: {
       auto sw = std::make_unique<core::AdcpSwitch>(sim, tmpl.adcp, std::move(scope));
       core::AdcpProgram prog = adcp_routing_program(tmpl.adcp, std::move(fib), sketch);
-      if (share) {
-        prog.shared_parse = tmpl.parse;
-        prog.shared_deparse = tmpl.deparse;
-      }
+      prog.shared_parse = tmpl.parse;
+      prog.shared_deparse = tmpl.deparse;
       sw->load_program(std::move(prog));
       return sw;
     }
     case SwitchKind::kRtc: {
       auto sw = std::make_unique<rtc::RtcSwitch>(sim, tmpl.rtc, std::move(scope));
       rtc::RtcProgram prog = rtc_routing_program(tmpl.rtc, std::move(fib), sketch);
-      if (share) {
-        prog.shared_parse = tmpl.parse;
-        prog.shared_deparse = tmpl.deparse;
-      }
+      prog.shared_parse = tmpl.parse;
+      prog.shared_deparse = tmpl.deparse;
       sw->load_program(std::move(prog));
       return sw;
     }
@@ -223,8 +215,7 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
   }
   SwitchSlot slot;
   const SwitchTemplate& tmpl = template_for(kind, port_count);
-  slot.device = make_switch(*sw_shard.sim, tmpl, profile_.share_templates, fib,
-                            sw_shard.topo.scope(name), sketch);
+  slot.device = make_switch(*sw_shard.sim, tmpl, fib, sw_shard.topo.scope(name), sketch);
   // The fabric (hosts + pool) lives on the host shard; its TX dispatch
   // closure still runs on the switch shard but only routes — per-host
   // state is reached through the mailbox taps wired in finish_wiring().

@@ -49,9 +49,10 @@ namespace adcp::topo {
 /// What every fabric generator takes, whatever its shape.
 struct FabricParams {
   SwitchKind kind = SwitchKind::kAdcp;
-  /// How every switch is provisioned (TierProfile::slim() by default:
-  /// first-touch state, shared templates; full() restores the legacy
-  /// eager build). Replaces the former raw-config construction paths.
+  /// How every switch is provisioned: the base model configs plus the
+  /// fabric-wide fast-path and telemetry settings. Every switch keeps its
+  /// stage state on first touch and shares its SwitchTemplate's parse
+  /// graph / deparser. Replaces the former raw-config construction paths.
   TierProfile profile{};
   /// The access links. On a ParallelSimulator a positive propagation delay
   /// (the default) is the lookahead that puts each switch's hosts on a
@@ -197,8 +198,8 @@ class Network {
   /// What building this fabric cost. Byte figures are deltas of
   /// mat::StateAccounting over the constructor, so they cover exactly this
   /// network's switches: `bytes_reserved` is what the configs declared,
-  /// `bytes_touched` what actually materialized (equal on the full
-  /// profile; near zero on slim until traffic runs).
+  /// `bytes_touched` what actually materialized (near zero until traffic
+  /// runs).
   struct ConstructionStats {
     double build_ms = 0.0;
     std::uint64_t bytes_reserved = 0;
@@ -292,7 +293,6 @@ class Network {
     return shards_[host_shard_[host_loc_.at(i).first]].topo;
   }
 
-  [[nodiscard]] const TierProfile& profile() const { return profile_; }
   /// The shared template for (kind, port_count), or nullptr if no switch
   /// of that shape exists. use_count() reflects only cache+caller refs —
   /// switches share the parse/deparse members, not the template object.

@@ -2,15 +2,6 @@
 
 namespace adcp::topo {
 
-TierProfile TierProfile::slim() { return TierProfile{}; }
-
-TierProfile TierProfile::full() {
-  TierProfile p;
-  p.eager_state = true;
-  p.share_templates = false;
-  return p;
-}
-
 std::uint32_t TierProfile::rmt_pipelines_for(std::uint32_t ports) {
   for (std::uint32_t d : {4u, 2u}) {
     if (ports % d == 0) return d;
@@ -22,8 +13,6 @@ rmt::RmtConfig TierProfile::rmt(std::uint32_t port_count) const {
   rmt::RmtConfig cfg = rmt_base;
   cfg.port_count = port_count;
   cfg.pipeline_count = rmt_pipelines_for(port_count);
-  cfg.stage.eager_state = eager_state;
-  if (cfg.stage.array) cfg.stage.array->eager_state = eager_state;
   cfg.fastpath_entries = fastpath_entries;
   cfg.tm_track_watermark = telemetry.armed;
   return cfg;
@@ -32,10 +21,6 @@ rmt::RmtConfig TierProfile::rmt(std::uint32_t port_count) const {
 core::AdcpConfig TierProfile::adcp(std::uint32_t port_count) const {
   core::AdcpConfig cfg = adcp_base;
   cfg.port_count = port_count;
-  cfg.edge_stage.eager_state = eager_state;
-  if (cfg.edge_stage.array) cfg.edge_stage.array->eager_state = eager_state;
-  cfg.central_stage.eager_state = eager_state;
-  if (cfg.central_stage.array) cfg.central_stage.array->eager_state = eager_state;
   cfg.fastpath_entries = fastpath_entries;
   cfg.tm_track_watermark = telemetry.armed;
   return cfg;
@@ -44,7 +29,6 @@ core::AdcpConfig TierProfile::adcp(std::uint32_t port_count) const {
 rtc::RtcConfig TierProfile::rtc(std::uint32_t port_count) const {
   rtc::RtcConfig cfg = rtc_base;
   cfg.port_count = port_count;
-  cfg.eager_state = eager_state;
   cfg.fastpath_entries = fastpath_entries;
   return cfg;
 }

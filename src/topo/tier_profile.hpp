@@ -9,19 +9,16 @@
 // The redesign splits construction into:
 //
 //  * TierProfile — one value that derives all three models' configs from a
-//    port count. Presets: `full()` (the legacy eager build: every cell
-//    materialized up front, per-switch parse/deparse copies) and `slim()`
-//    (the default: state appears on first touch, identical switches share
-//    one immutable template). Port-count→pipeline-count derivation
+//    port count. Port-count→pipeline-count derivation
 //    (`rmt_pipelines_for`) lives here and only here.
 //
 //  * SwitchTemplate — the immutable per-(kind, port_count) bundle a
 //    Network builds once and shares by shared_ptr across every identical
 //    switch: resolved model config plus the parse graph / deparser the
 //    routing programs use. Per-instance state (stage registers, TM
-//    accounting, metric scopes) stays per switch and materializes lazily
-//    (mat::RegisterFile), with byte-accurate accounting via
-//    mat::StateAccounting so eager and slim builds snapshot identically.
+//    accounting, metric scopes) stays per switch and materializes on first
+//    touch (mat::RegisterFile), with byte-accurate accounting of what is
+//    reserved and what is touched via mat::StateAccounting.
 #pragma once
 
 #include <cstdint>
@@ -39,15 +36,10 @@ namespace adcp::topo {
 /// Which cycle-level switch model fills every position of the fabric.
 enum class SwitchKind { kRmt, kAdcp, kRtc };
 
-/// How every switch of a fabric tier is provisioned. Default-constructed
-/// == slim(): lazy first-touch state, shared templates.
+/// How every switch of a fabric tier is provisioned. Every switch keeps
+/// its stage state on first touch and shares its template's parse graph /
+/// deparser with the identical switches of the fabric.
 struct TierProfile {
-  /// Materialize all stage register/array backing stores at construction
-  /// (the legacy build; costs what the configs declare).
-  bool eager_state = false;
-  /// Share one parse graph / deparser across identical switches instead of
-  /// copying them per switch.
-  bool share_templates = true;
   /// Per-switch flow fast-path verdict cache entries (DESIGN.md §13).
   /// 0 disables; a positive value arms the cache on every switch whose
   /// installed program provides a fastpath contract. Applied to all three
@@ -59,17 +51,11 @@ struct TierProfile {
   telem::TelemetryProfile telemetry;
 
   /// Base configs the per-switch derivation starts from. Change these to
-  /// customize geometry fabric-wide (e.g. tests shrink
-  /// `*.stage.register_cells` to make an eager arm cheap); `port_count`
-  /// and pipeline counts are overridden per switch position.
+  /// customize geometry fabric-wide; `port_count` and pipeline counts are
+  /// overridden per switch position.
   rmt::RmtConfig rmt_base;
   core::AdcpConfig adcp_base;
   rtc::RtcConfig rtc_base;
-
-  /// The default: first-touch state + shared templates.
-  static TierProfile slim();
-  /// The legacy eager baseline: everything materialized, nothing shared.
-  static TierProfile full();
 
   /// Largest pipeline count in {4, 2, 1} dividing `ports` (RMT requires
   /// port_count % pipeline_count == 0; trunk ports make odd totals
@@ -86,8 +72,7 @@ struct TierProfile {
 /// The immutable part of a switch, built once per (kind, port_count) key
 /// and shared across every identical switch of the fabric. The config
 /// member matching `kind` is the resolved one; `parse`/`deparse` are what
-/// the tier routing programs install (shared_ptr into every switch when
-/// the profile shares templates).
+/// the tier routing programs install (shared_ptr into every switch).
 struct SwitchTemplate {
   SwitchKind kind = SwitchKind::kAdcp;
   std::uint32_t port_count = 0;

@@ -1,54 +1,34 @@
 // Fabric construction: shared switch templates + first-touch state
 // (DESIGN.md §11).
 //
+//  * First-touch equivalence — a register file that materializes on first
+//    write reads exactly like a zero-filled vector under every operation:
+//    lazy state must be observationally invisible.
 //  * Template sharing — identical switches in one fabric reference a
 //    single parse graph / deparser, observed through shared_ptr refcounts.
-//  * First-touch equivalence — an eager (TierProfile::full) and a lazy
-//    (TierProfile::slim) fat_tree(4) allreduce produce byte-identical
-//    metric snapshots AND byte-identical span traces: lazy state must be
-//    observationally invisible.
-//  * Construction budget — a slim fat_tree(8) build reserves gigabytes of
+//  * Construction budget — a fat_tree(8) build reserves gigabytes of
 //    simulated state but touches (materializes) almost none of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
+#include <vector>
 
 #include "core/adcp_switch.hpp"
 #include "mat/register.hpp"
 #include "mat/state_accounting.hpp"
-#include "rmt/rmt_switch.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/span.hpp"
 #include "topo/network.hpp"
 #include "topo/tier_profile.hpp"
-#include "workload/rack_coflow.hpp"
 
 namespace adcp {
 namespace {
 
-std::vector<workload::RackHost> rack_hosts(topo::Network& net) {
-  std::vector<workload::RackHost> hosts;
-  hosts.reserve(net.host_count());
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
-  return hosts;
-}
-
 // --- TierProfile API ------------------------------------------------------
 
-TEST(TierProfile, PresetsAndParse) {
-  const topo::TierProfile slim = topo::TierProfile::slim();
-  const topo::TierProfile full = topo::TierProfile::full();
-  EXPECT_FALSE(slim.eager_state);
-  EXPECT_TRUE(slim.share_templates);
-  EXPECT_TRUE(full.eager_state);
-  EXPECT_FALSE(full.share_templates);
-}
-
 TEST(TierProfile, PipelineCountFoldedIntoRmtConfig) {
-  const topo::TierProfile p = topo::TierProfile::slim();
+  const topo::TierProfile p;
   // Largest of {4, 2, 1} dividing the port count (the former
   // topo-internal rmt_pipelines_for helper, now part of the profile API).
   EXPECT_EQ(topo::TierProfile::rmt_pipelines_for(8), 4u);
@@ -58,13 +38,6 @@ TEST(TierProfile, PipelineCountFoldedIntoRmtConfig) {
   EXPECT_EQ(p.rmt(8).port_count, 8u);
   EXPECT_EQ(p.adcp(6).port_count, 6u);
   EXPECT_EQ(p.rtc(6).port_count, 6u);
-  // The eager flag threads into the per-stage configs.
-  const topo::TierProfile f = topo::TierProfile::full();
-  EXPECT_TRUE(f.adcp(6).edge_stage.eager_state);
-  EXPECT_TRUE(f.adcp(6).central_stage.eager_state);
-  EXPECT_TRUE(f.rmt(8).stage.eager_state);
-  EXPECT_TRUE(f.rtc(6).eager_state);
-  EXPECT_FALSE(p.adcp(6).edge_stage.eager_state);
 }
 
 // --- first-touch register file --------------------------------------------
@@ -88,11 +61,69 @@ TEST(RegisterFileLazy, MaterializesOnFirstWriteOnly) {
   EXPECT_EQ(mat::StateAccounting::touched_bytes() - touched0, 1024u * 8u);
 }
 
-TEST(RegisterFileLazy, EagerFlagRestoresConstructionTouch) {
-  const std::uint64_t touched0 = mat::StateAccounting::touched_bytes();
-  mat::RegisterFile rf(256, /*eager=*/true);
-  EXPECT_TRUE(rf.materialized());
-  EXPECT_EQ(mat::StateAccounting::touched_bytes() - touched0, 256u * 8u);
+/// The reference semantics of each AluOp, applied to a plain cell.
+std::uint64_t reference_apply(mat::AluOp op, std::uint64_t& cell, std::uint64_t operand) {
+  const std::uint64_t old = cell;
+  switch (op) {
+    case mat::AluOp::kRead:
+      return old;
+    case mat::AluOp::kWrite:
+      cell = operand;
+      return old;
+    case mat::AluOp::kAdd:
+      return cell += operand;
+    case mat::AluOp::kMax:
+      return cell = std::max(cell, operand);
+    case mat::AluOp::kMin:
+      return cell = std::min(cell, operand);
+    case mat::AluOp::kCas:
+      if (cell == 0) cell = operand;
+      return old;
+    case mat::AluOp::kAndOr:
+      return cell = (cell & (operand >> 32)) | (operand & 0xffff'ffffULL);
+  }
+  return 0;
+}
+
+/// A first-touch file against a plain zero-filled vector: a seeded mix of
+/// all seven ALU ops, peek, poke, fill(0) and fill(v), starting on an
+/// unmaterialized file, must return the same value at every step and hold
+/// the same cells after every step — materializing must not disturb the
+/// cells the op did not name.
+TEST(RegisterFileLazy, MatchesZeroedVectorUnderEveryOp) {
+  constexpr std::size_t kCells = 64;
+  constexpr std::uint64_t kAluOps = 7;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    mat::RegisterFile rf(kCells);
+    std::vector<std::uint64_t> ref(kCells, 0);
+    sim::Rng rng(seed);
+    for (int step = 0; step < 1000; ++step) {
+      const std::size_t i = rng.index(kCells);
+      // Half the operands are tiny so kCas, kMin and kMax see zeros and ties.
+      const std::uint64_t v = step % 2 == 0 ? rng.uniform(0, 3) : rng.uniform(0, ~0ULL);
+      // Weights: ALU ops 21/32, peek 6/32, poke 3/32, fill(0) and fill(v)
+      // 1/32 each, so fills reset the file without dominating it.
+      const std::uint64_t pick = rng.uniform(0, 31);
+      if (pick < 3 * kAluOps) {
+        const auto op = static_cast<mat::AluOp>(pick % kAluOps);
+        EXPECT_EQ(rf.apply(op, i, v), reference_apply(op, ref[i], v))
+            << "step " << step << " op " << pick % kAluOps << " cell " << i;
+      } else if (pick < 27) {
+        EXPECT_EQ(rf.peek(i), ref[i]) << "step " << step << " peek cell " << i;
+      } else if (pick < 30) {
+        rf.poke(i, v);
+        ref[i] = v;
+      } else {
+        const std::uint64_t fill = pick == 30 ? 0 : v;
+        rf.fill(fill);
+        std::fill(ref.begin(), ref.end(), fill);
+      }
+      for (std::size_t c = 0; c < kCells; ++c) {
+        ASSERT_EQ(rf.peek(c), ref[c]) << "after step " << step << ", cell " << c;
+      }
+    }
+  }
 }
 
 // --- template sharing -----------------------------------------------------
@@ -125,27 +156,6 @@ TEST(ConstructionTemplates, IdenticalSwitchesShareOneParseGraph) {
   EXPECT_EQ(leaf0->deparser().get(), leaf_tmpl->deparse.get());
 }
 
-TEST(ConstructionTemplates, FullProfileDisablesSharing) {
-  sim::Simulator sim;
-  topo::LeafSpineParams p;
-  p.leaves = 2;
-  p.spines = 1;
-  p.hosts_per_leaf = 2;
-  p.profile = topo::TierProfile::full();
-  // Shrink the eager stages so the full-profile arm stays test-sized.
-  p.profile.adcp_base.edge_stage.register_cells = 64;
-  p.profile.adcp_base.central_stage.register_cells = 64;
-  p.profile.adcp_base.central_stage.array->register_cells = 64;
-  topo::Network net(sim, p);
-
-  auto* leaf0 = dynamic_cast<core::AdcpSwitch*>(&net.device(0));
-  auto* leaf1 = dynamic_cast<core::AdcpSwitch*>(&net.device(1));
-  ASSERT_NE(leaf0, nullptr);
-  ASSERT_NE(leaf1, nullptr);
-  EXPECT_NE(leaf0->parse_graph().get(), leaf1->parse_graph().get());
-  EXPECT_EQ(leaf0->parse_graph().use_count(), 1);
-}
-
 TEST(ConstructionTemplates, SharingWorksAcrossKinds) {
   for (const topo::SwitchKind kind :
        {topo::SwitchKind::kRmt, topo::SwitchKind::kAdcp, topo::SwitchKind::kRtc}) {
@@ -161,72 +171,9 @@ TEST(ConstructionTemplates, SharingWorksAcrossKinds) {
   }
 }
 
-// --- first-touch equivalence ----------------------------------------------
-
-struct ArmResult {
-  std::string snapshot;
-  std::string trace;
-  bool complete = false;
-  std::uint64_t reserved = 0;
-  std::uint64_t touched = 0;
-};
-
-/// One fat_tree(4) allreduce under `profile`. Both arms shrink the
-/// register files the same way so the eager arm stays test-sized; the
-/// comparison is eager-vs-lazy, not big-vs-small.
-ArmResult run_fat_tree_allreduce(topo::TierProfile profile) {
-  profile.rmt_base.stage.register_cells = 256;
-  profile.adcp_base.edge_stage.register_cells = 256;
-  profile.adcp_base.central_stage.register_cells = 256;
-  profile.adcp_base.central_stage.array->register_cells = 256;
-
-  sim::Simulator sim;
-  topo::FatTreeParams p;
-  p.k = 4;
-  p.profile = profile;
-  p.trace.sample_every = 1;  // trace every flow: byte-compare the spans too
-  topo::Network net(sim, p);
-
-  ArmResult r;
-  r.reserved = net.construction().bytes_reserved;
-  r.touched = net.construction().bytes_touched;
-
-  auto hosts = rack_hosts(net);
-  workload::RackAllReduceParams ar;
-  ar.ps = 0;
-  ar.workers = {1, 5, 10, 15};  // every pod participates
-  ar.vector_len = 64;
-  workload::RackAllReduce allreduce(ar);
-  allreduce.attach(hosts, sim);
-  allreduce.start(0);
-  sim.run();
-  net.finalize_metrics();
-
-  r.complete = allreduce.complete();
-  r.snapshot = net.merged_snapshot().to_json("equiv");
-  r.trace = sim::spans_to_perfetto(net.span_buffers());
-  return r;
-}
-
-TEST(ConstructionEquivalence, EagerAndLazyFatTreeAllreduceAreBitIdentical) {
-  const ArmResult lazy = run_fat_tree_allreduce(topo::TierProfile::slim());
-  const ArmResult eager = run_fat_tree_allreduce(topo::TierProfile::full());
-
-  ASSERT_TRUE(lazy.complete);
-  ASSERT_TRUE(eager.complete);
-  // The observable outputs must match byte for byte.
-  EXPECT_EQ(lazy.snapshot, eager.snapshot);
-  EXPECT_EQ(lazy.trace, eager.trace);
-  // ...while the arms really did build differently: both declared the same
-  // state, but only the eager arm materialized all of it up front.
-  EXPECT_EQ(lazy.reserved, eager.reserved);
-  EXPECT_EQ(eager.touched, eager.reserved);
-  EXPECT_LT(lazy.touched, eager.touched / 10);
-}
-
 // --- construction budget --------------------------------------------------
 
-/// A slim fat_tree(8) — 80 switches — must reserve the full simulated
+/// A fat_tree(8) — 80 switches — must reserve the full simulated
 /// state (gigabytes) while materializing essentially none of it at build
 /// time: routing programs only install match entries. The ceiling is
 /// pinned; raise it deliberately with any change that adds a legitimate

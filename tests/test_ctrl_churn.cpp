@@ -21,20 +21,14 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
+#include "support/fabric.hpp"
 #include "topo/network.hpp"
 #include "workload/churn.hpp"
 
 namespace adcp {
 namespace {
 
-constexpr std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using test::fnv1a;
 
 // --- wire format -----------------------------------------------------------
 

@@ -22,6 +22,7 @@
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/fabric.hpp"
 #include "topo/network.hpp"
 #include "topo/routing.hpp"
 #include "workload/rack_coflow.hpp"
@@ -29,14 +30,8 @@
 namespace adcp {
 namespace {
 
-constexpr std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using test::fnv1a;
+using test::rack_hosts;
 
 packet::Packet canonical_packet(std::uint32_t flow = 7, std::size_t elems = 0) {
   packet::IncPacketSpec spec;
@@ -280,10 +275,7 @@ SteadyRun run_steady(topo::SwitchKind kind, std::uint32_t fastpath_entries) {
   p.trace.sample_every = 2;
   topo::Network net(sim, p);
 
-  std::vector<workload::RackHost> hosts;
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
+  auto hosts = rack_hosts(net);
   workload::RackIncastParams inc;
   inc.sink = 0;
   inc.senders = 7;
@@ -346,10 +338,7 @@ TEST(FastpathExport, TotalsLandInAReportingRegistry) {
   p.hosts_per_leaf = 4;
   p.profile.fastpath_entries = 1024;
   topo::Network net(sim, p);
-  std::vector<workload::RackHost> hosts;
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
+  auto hosts = rack_hosts(net);
   workload::RackIncastParams inc;
   inc.sink = 0;
   inc.senders = 7;
@@ -384,10 +373,7 @@ TEST(FastpathZeroAlloc, SteadyStateHitsDoNotAllocate) {
   p.kind = topo::SwitchKind::kAdcp;
   p.profile.fastpath_entries = 256;
   topo::Network net(sim, p);
-  std::vector<workload::RackHost> hosts;
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
+  auto hosts = rack_hosts(net);
 
   std::uint32_t seq = 0;
   // Balanced bidirectional cross-rack traffic so each rack's pool reclaims

@@ -20,29 +20,15 @@
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
 #include "sim/stats.hpp"
+#include "support/fabric.hpp"
 #include "topo/network.hpp"
 #include "workload/rack_coflow.hpp"
 
 namespace adcp {
 namespace {
 
-constexpr std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::vector<workload::RackHost> rack_hosts(topo::Network& net) {
-  std::vector<workload::RackHost> hosts;
-  hosts.reserve(net.host_count());
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
-  return hosts;
-}
+using test::fnv1a;
+using test::rack_hosts;
 
 // --- kernel window primitives ---------------------------------------------
 

@@ -407,7 +407,7 @@ TEST(PerfettoExport, CounterTracksRideAlongsideSpans) {
 // ------------------------------------------------------------ end to end --
 
 topo::TierProfile fabric_profile(bool armed, bool sketch, bool tweak_inert = false) {
-  topo::TierProfile p = topo::TierProfile::slim();
+  topo::TierProfile p;
   p.fastpath_entries = 0;
   p.telemetry.armed = armed;
   if (armed) {
