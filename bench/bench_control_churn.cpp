@@ -96,11 +96,7 @@ CellResult run_cell(topo::SwitchKind kind, sim::Time agent_period,
 
   // Background rack incast into host 0 so control and churn traffic
   // contend with data coflows on the same trunks.
-  std::vector<workload::RackHost> hosts;
-  hosts.reserve(net.host_count());
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
+  std::vector<workload::RackHost> hosts = workload::rack_hosts(net);
   coflow::CoflowTracker tracker;
   net.set_tracker(&tracker);
   workload::RackIncastParams inc;

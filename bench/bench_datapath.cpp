@@ -111,10 +111,7 @@ DatapathRun run_datapath_cell(bool fat_tree, bool churn_wl, std::uint32_t entrie
     r.ns = now_ns(t0);
     r.ok = churn.outstanding() == 0 && churn.hits() > 0;
   } else {
-    std::vector<workload::RackHost> hosts;
-    for (std::size_t i = 0; i < net->host_count(); ++i) {
-      hosts.push_back({&net->host(i), net->ip_of(i)});
-    }
+    std::vector<workload::RackHost> hosts = workload::rack_hosts(*net);
     // Every round rotates the sink and renames the flows, so a flow's first
     // packet per switch site always misses: packets_per_sender bounds the
     // achievable hit rate, and the full-size run uses a deep window so the

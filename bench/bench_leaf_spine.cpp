@@ -90,12 +90,7 @@ FabricResult run_fabric(topo::SwitchKind kind, bool quick, const std::string& tr
   p.kind = kind;
   if (!trace_out.empty()) p.trace.sample_every = 1;
   topo::Network net(sim, p);
-
-  std::vector<workload::RackHost> hosts;
-  hosts.reserve(net.host_count());
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
+  std::vector<workload::RackHost> hosts = workload::rack_hosts(net);
 
   coflow::CoflowTracker tracker;
   net.set_tracker(&tracker);
@@ -184,11 +179,7 @@ workload::RackAllReduceParams scale_allreduce(std::size_t host_count, bool quick
 /// afterwards (they come from the engine, which this helper cannot see).
 template <typename RunFn>
 ScaleResult run_scale(topo::Network& net, sim::Simulator& ps_sim, bool quick, RunFn run) {
-  std::vector<workload::RackHost> hosts;
-  hosts.reserve(net.host_count());
-  for (std::size_t i = 0; i < net.host_count(); ++i) {
-    hosts.push_back({&net.host(i), net.ip_of(i)});
-  }
+  std::vector<workload::RackHost> hosts = workload::rack_hosts(net);
   workload::RackAllReduce allreduce(scale_allreduce(hosts.size(), quick));
   allreduce.attach(hosts, ps_sim);
   allreduce.start(0);

@@ -61,8 +61,8 @@ void Chassis::inject(packet::PortId port, packet::Packet pkt) {
 }
 
 void Chassis::transmit(packet::Packet pkt) {
-  // The port rides in the packet metadata: {this, Packet} fills the inline
-  // callback capacity exactly, so one more captured word would heap-spill.
+  // The port rides in the packet metadata, so the TX continuation captures
+  // only {this, Packet}: 96 of the 120 inline callback bytes.
   const packet::PortId port = pkt.meta.egress_port;
   ++in_flight_[port];
   sim::Time& free = tx_free_[port];
@@ -262,7 +262,7 @@ void Chassis::fill(const TransitSlot* t, packet::PortId egress) {
 SwitchStats Chassis::switch_stats() const {
   return SwitchStats{rx_packets_.value(),    rx_bytes_.value(),      tx_packets_.value(),
                      tx_bytes_.value(),      parse_drops_.value(),   program_drops_.value(),
-                     no_route_drops_.value(), first_tx_,             last_tx_};
+                     no_route_drops_.value()};
 }
 
 double Chassis::achieved_tx_gbps() const {

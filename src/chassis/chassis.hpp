@@ -41,8 +41,6 @@ struct SwitchStats {
   std::uint64_t parse_drops = 0;
   std::uint64_t program_drops = 0;
   std::uint64_t no_route_drops = 0;
-  sim::Time first_tx = 0;
-  sim::Time last_tx = 0;
 };
 
 /// Fast-path timing of a measured pipeline transit.
@@ -102,8 +100,9 @@ class Chassis : public net::SwitchDevice {
     fastpath::Timing timing;  ///< the verdict site's cost, for fast-path fills
   };
 
-  /// Fast-path continuation state, pooled like TransitSlot ({this, Packet}
-  /// alone fills the inline callback capacity).
+  /// Fast-path continuation state, pooled like TransitSlot: the wire view
+  /// and memoized timing add 64 bytes to {this, Packet}'s 96, past the
+  /// 120-byte inline callback capacity.
   struct FastSlot {
     packet::Packet pkt;
     fastpath::WireView wire;

@@ -53,7 +53,6 @@ class CoflowTracker {
 
   [[nodiscard]] const CoflowRecord* record(CoflowId id) const;
   [[nodiscard]] bool all_complete() const;
-  [[nodiscard]] std::size_t tracked() const { return records_.size(); }
 
   /// Completion times of all finished coflows, in finish order.
   [[nodiscard]] std::vector<sim::Time> completion_times() const;

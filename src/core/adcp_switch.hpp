@@ -48,7 +48,6 @@ class AdcpSwitch final : public chassis::Chassis {
   tm::TrafficManager& tm2() { return *tm2_; }
   pipeline::Pipeline& central_pipe(std::uint32_t i) { return central_pipes_.at(i); }
   pipeline::Pipeline& ingress_pipe(std::uint32_t i) { return ingress_pipes_.at(i); }
-  pipeline::Pipeline& egress_pipe(std::uint32_t i) { return egress_pipes_.at(i); }
   [[nodiscard]] std::uint64_t central_packets(std::uint32_t i) const {
     return central_pipes_.at(i).packets();
   }

@@ -73,7 +73,6 @@ class ControlAgent {
   [[nodiscard]] std::uint64_t polls() const { return polls_.value(); }
   [[nodiscard]] std::uint64_t batches() const { return batches_.value(); }
   [[nodiscard]] std::uint64_t update_packets() const { return packets_.value(); }
-  [[nodiscard]] std::uint64_t queries_served() const { return served_.value(); }
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
  private:

@@ -129,7 +129,6 @@ packet::Packet copy_patch(packet::Pool& pool, packet::Packet original,
   out.meta = original.meta;
   out.meta.flow_id = w.flow_id;
   out.meta.coflow_id = w.coflow_id;
-  out.meta.drop = false;
   if (patch != Patch::kPassthrough) {
     out.data.write(22, 1, static_cast<std::uint64_t>(w.ttl) - 1);
     if (patch == Patch::kServed) {

@@ -30,11 +30,6 @@ inline Action set_field(packet::FieldId dst, std::uint64_t value) {
   return [dst, value](packet::Phv& phv) { phv.set(dst, value); };
 }
 
-/// phv[dst] = phv[src].
-inline Action copy_field(packet::FieldId dst, packet::FieldId src) {
-  return [dst, src](packet::Phv& phv) { phv.set(dst, phv.get_or(src, 0)); };
-}
-
 /// phv[dst] += delta (wrapping).
 inline Action add_to_field(packet::FieldId dst, std::uint64_t delta) {
   return [dst, delta](packet::Phv& phv) { phv.set(dst, phv.get_or(dst, 0) + delta); };

@@ -33,7 +33,6 @@ class MatchActionUnit {
   bool process(packet::Phv& phv);
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] packet::FieldId key_field() const { return key_field_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 

@@ -37,7 +37,6 @@ class StageMemoryPool {
     return true;
   }
 
-  [[nodiscard]] std::uint32_t total_blocks() const { return total_; }
   [[nodiscard]] std::uint32_t used_blocks() const { return used_; }
   [[nodiscard]] std::uint32_t free_blocks() const { return total_ - used_; }
   [[nodiscard]] const std::vector<MemoryAllocation>& allocations() const { return allocations_; }

@@ -76,9 +76,9 @@ class Host {
 
   /// Called by the fabric when the switch finished transmitting to us;
   /// accounts the packet after propagation delay. With a downlink hook
-  /// installed the packet is handed to it untouched instead (the hook's
-  /// owner runs the loss lottery and schedules finish_rx on this host's
-  /// shard; this call may then run on the switch's thread).
+  /// installed the packet is handed to it untouched instead, skipping the
+  /// downlink loss lottery (the hook's owner schedules finish_rx on this
+  /// host's shard; this call may then run on the switch's thread).
   void deliver_from_switch(packet::Packet pkt);
 
   /// Receive-side accounting, run at delivery time on this host's own

@@ -104,11 +104,6 @@ class Buffer {
     return at;
   }
 
-  /// Appends raw bytes.
-  void append_bytes(std::span<const std::uint8_t> src) {
-    bytes_.insert(bytes_.end(), src.begin(), src.end());
-  }
-
   bool operator==(const Buffer&) const = default;
 
  private:

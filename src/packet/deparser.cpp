@@ -70,7 +70,6 @@ void Deparser::deparse_into(const Phv& phv, const Packet& original,
   if (phv.has(fields::kIncFlowId)) out.meta.flow_id = phv.get(fields::kIncFlowId);
   if (phv.has(fields::kIncCoflowId)) out.meta.coflow_id = phv.get(fields::kIncCoflowId);
   if (phv.has(fields::kMetaFlowHash)) out.meta.flow_hash = phv.get(fields::kMetaFlowHash);
-  if (phv.get_or(fields::kMetaDrop, 0) != 0) out.meta.drop = true;
 }
 
 std::vector<EmitOp> inc_header_emits() {

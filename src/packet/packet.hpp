@@ -2,9 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "packet/buffer.hpp"
-#include "packet/small_vec.hpp"
 #include "sim/time.hpp"
 
 namespace adcp::packet {
@@ -18,24 +18,19 @@ inline constexpr PortId kInvalidPort = ~PortId{0};
 struct Metadata {
   PortId ingress_port = kInvalidPort;
   PortId egress_port = kInvalidPort;
-  /// For multicast: resolved list of egress ports (takes precedence over
-  /// egress_port when non-empty). Small-buffer-optimized: typical fan-outs
-  /// stay inline so copying metadata never allocates.
-  SmallVec<PortId, 4> egress_ports;
   sim::Time arrival = 0;         ///< time the first bit hit the RX port
   std::uint32_t recirculations = 0;  ///< how many recirculation passes so far
   /// Ingress program requested a recirculation pass; honored after the
   /// egress pipeline (the recirculation port hangs off the egress side).
   bool recirc_request = false;
-  bool drop = false;
   /// TM queue depth (packets already queued on the chosen output) observed
   /// when this packet was enqueued, saturating at 0xFFFF. Stamped by the
   /// switch models only while a telemetry tap is armed (see telem/tap.hpp);
   /// read back at TX to fill the INT hop record. Not serialized, never
-  /// affects forwarding. 16-bit so it fits the alignment hole here and
-  /// sizeof(Metadata) stays at its pre-telemetry value — Packet must keep
-  /// fitting (with a pointer to spare) in the simulator's inline callback
-  /// budget, or every steady-state event would heap-allocate.
+  /// affects forwarding. 16-bit so it fits the alignment hole after
+  /// recirc_request: Metadata stays 64 bytes and Packet 88 (x86-64), so a
+  /// [this, pkt] capture (96 bytes) stays inside the simulator's 120-byte
+  /// inline callback budget and no steady-state event heap-allocates.
   std::uint16_t telem_depth = 0;
   std::uint64_t flow_id = 0;
   std::uint64_t coflow_id = 0;
@@ -60,25 +55,11 @@ struct Metadata {
     telem_depth = packets > 0xFFFF ? std::uint16_t{0xFFFF}
                                    : static_cast<std::uint16_t>(packets);
   }
-
-  /// Back to defaults; any spilled egress_ports capacity is kept so pooled
-  /// packets recycle it.
-  void reset() {
-    ingress_port = kInvalidPort;
-    egress_port = kInvalidPort;
-    egress_ports.clear();
-    arrival = 0;
-    recirculations = 0;
-    recirc_request = false;
-    drop = false;
-    telem_depth = 0;
-    flow_id = 0;
-    coflow_id = 0;
-    trace_id = 0;
-    trace_mark = 0;
-    flow_hash = 0;
-  }
 };
+
+// Every packet move, copy and event capture copies the metadata; keep it a
+// flat, memcpy-able record.
+static_assert(std::is_trivially_copyable_v<Metadata>);
 
 /// A simulated packet. Value-semantic; moves are cheap.
 struct Packet {

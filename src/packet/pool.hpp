@@ -4,9 +4,8 @@
 // buffer allocation (deparse builds fresh wire bytes) plus the frees of the
 // packet it replaced. The pool turns that churn into a freelist: release()
 // parks a dead packet, acquire() hands it back with zero-length data and
-// default metadata but with the buffer's (and any spilled egress-port
-// list's) capacity intact, so steady-state forwarding performs no heap
-// allocation per packet.
+// default metadata but with the buffer's capacity intact, so steady-state
+// forwarding performs no heap allocation per packet.
 //
 // Ownership rules (also summarized in DESIGN.md):
 //  - acquire() transfers ownership to the caller; a pooled packet is an
@@ -56,7 +55,7 @@ class Pool {
     Packet pkt = std::move(free_.back());
     free_.pop_back();
     pkt.data.clear();
-    pkt.meta.reset();
+    pkt.meta = Metadata{};
     recycled_.add();
     return pkt;
   }

@@ -46,7 +46,6 @@ class Stage {
   [[nodiscard]] const StageConfig& config() const { return config_; }
   [[nodiscard]] std::size_t mau_count() const { return maus_.size(); }
 
-  std::vector<mat::MatchActionUnit>& maus() { return maus_; }
   mat::RegisterFile& registers() { return registers_; }
   mat::StageMemoryPool& memory() { return memory_; }
   [[nodiscard]] const mat::StageMemoryPool& memory() const { return memory_; }

@@ -48,7 +48,6 @@ class RmtSwitch final : public chassis::Chassis {
   }
   [[nodiscard]] const tm::TrafficManager& traffic_manager() const { return *tm_; }
   pipeline::Pipeline& ingress_pipe(std::uint32_t i) { return ingress_pipes_.at(i); }
-  pipeline::Pipeline& egress_pipe(std::uint32_t i) { return egress_pipes_.at(i); }
 
  private:
   /// Ingress pipeline of the port's group (also the recirculation re-entry).

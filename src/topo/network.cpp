@@ -183,17 +183,15 @@ std::size_t Network::allocate_shard() {
 
 Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_count,
                                          std::shared_ptr<ForwardingTable> fib,
-                                         std::size_t host_count, net::Link host_link,
-                                         std::uint64_t loss_seed) {
+                                         std::size_t host_count) {
   const std::size_t i = switches_.size();
   switch_shard_.push_back(allocate_shard());
-  // Hosts get a shard of their own when the access link's propagation can
-  // serve as the cut's lookahead: their events (NIC pacing, rx accounting)
-  // are the bulk of the work on incast-heavy scenarios, and splitting them
-  // off lets the partitioner balance workers instead of pinning a whole
-  // rack to one thread.
-  host_shard_.push_back(host_count > 0 && host_link.propagation > 0 ? allocate_shard()
-                                                                    : switch_shard_.back());
+  // A sharded build gives hosts a shard of their own, with the access
+  // link's propagation as the cut's lookahead: their events (NIC pacing,
+  // rx accounting) are the bulk of the work on incast-heavy scenarios, and
+  // splitting them off lets the partitioner balance workers instead of
+  // pinning a whole rack to one thread.
+  host_shard_.push_back(host_count > 0 ? allocate_shard() : switch_shard_.back());
   const Shard& sw_shard = shards_[switch_shard_.back()];
   const Shard& host_shard = shards_[host_shard_.back()];
   kind_.push_back(kind);
@@ -219,8 +217,9 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
   // The fabric (hosts + pool) lives on the host shard; its TX dispatch
   // closure still runs on the switch shard but only routes — per-host
   // state is reached through the mailbox taps wired in finish_wiring().
-  slot.fabric = std::make_unique<net::Fabric>(*host_shard.sim, *slot.device, host_link,
-                                              loss_seed, host_shard.topo.scope(name),
+  // Access links are lossless, so the fabric's loss stream never draws.
+  slot.fabric = std::make_unique<net::Fabric>(*host_shard.sim, *slot.device, net::Link{},
+                                              /*seed=*/0, host_shard.topo.scope(name),
                                               host_count);
   slot.fib = std::move(fib);
   switches_.push_back(std::move(slot));
@@ -285,21 +284,13 @@ void Network::Wire::forward(packet::Packet pkt) {
 }
 
 void Network::HostTap::deliver(packet::Packet pkt) {
-  // Runs on the switch shard (the device's TX completion). Mirrors
-  // Host::deliver_from_switch's lossy tail with a per-host stream; drops
-  // are counted here under the host's metric name so the merged snapshot
-  // still sums host-side and switch-side drops into one "drops.link".
-  if (link.loss_rate > 0.0 && rng.chance(link.loss_rate)) {
-    drops->add();
-    spans.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sw_sim->now(),
-                  static_cast<std::uint64_t>(sim::DropReason::kLink));
-    return;  // no pool release: the fabric pool lives on the host shard
-  }
-  // Span begin rides in the packet; [h, pkt] fills the inline callback
-  // budget exactly (as in Host::deliver_from_switch).
+  // Runs on the switch shard (the device's TX completion), as the tail of
+  // Host::deliver_from_switch does on one shard. The span begin rides in
+  // the packet, so the capture stays [h, pkt]: 96 of the 120 inline
+  // callback bytes.
   pkt.meta.trace_mark = sw_sim->now();
   net::Host* h = host;
-  down->push(sw_sim->now() + link.propagation, [h, pkt = std::move(pkt)]() mutable {
+  down->push(sw_sim->now() + propagation, [h, pkt = std::move(pkt)]() mutable {
     h->finish_rx(std::move(pkt));
   });
 }
@@ -329,7 +320,7 @@ void Network::build(const LeafSpineParams& p) {
     EcmpGroup up;
     for (std::uint32_t s = 0; s < S; ++s) up.ports.push_back(H + s);
     fib->add_prefix(kAddressBase, 8, std::move(up));
-    add_switch(p.kind, leaf_ports, std::move(fib), H, p.host_link, p.loss_seed + l);
+    add_switch(p.kind, leaf_ports, std::move(fib), H);
     if (p.control_channel) ctrl_ip_.back() = make_ip(0, l, 255);
     if (p.control_channel || armed) mgmt_port_.back() = H + S;
     for (std::uint32_t h = 0; h < H; ++h) {
@@ -343,7 +334,7 @@ void Network::build(const LeafSpineParams& p) {
   for (std::uint32_t s = 0; s < S; ++s) {
     auto fib = std::make_shared<ForwardingTable>(p.ecmp_seed);
     for (std::uint32_t l = 0; l < L; ++l) fib->add_prefix(make_ip(0, l, 0), 24, {{l}});
-    add_switch(p.kind, spine_ports, std::move(fib), 0, p.host_link, p.loss_seed + L + s);
+    add_switch(p.kind, spine_ports, std::move(fib), 0);
     if (armed) mgmt_port_.back() = L;
   }
 
@@ -368,7 +359,6 @@ void Network::build(const FatTreeParams& p) {
   const auto core_index = [edges, half](std::uint32_t i, std::uint32_t j) {
     return 2 * edges + i * half + j;
   };
-  std::uint64_t seed = p.loss_seed;
   // Control channel: management port k on every edge; the aggregation /24
   // and core /16 prefixes already route the control address down.
   // Telemetry arms a management port on every tier (see build_leaf_spine).
@@ -386,7 +376,7 @@ void Network::build(const FatTreeParams& p) {
       EcmpGroup up;
       for (std::uint32_t a = 0; a < half; ++a) up.ports.push_back(half + a);
       fib->add_prefix(kAddressBase, 8, std::move(up));
-      add_switch(p.kind, edge_ports, std::move(fib), half, p.host_link, seed++);
+      add_switch(p.kind, edge_ports, std::move(fib), half);
       if (p.control_channel) ctrl_ip_.back() = make_ip(pod, e, 255);
       if (p.control_channel || armed) mgmt_port_.back() = k;
       for (std::uint32_t h = 0; h < half; ++h) {
@@ -404,7 +394,7 @@ void Network::build(const FatTreeParams& p) {
       EcmpGroup up;
       for (std::uint32_t j = 0; j < half; ++j) up.ports.push_back(half + j);
       fib->add_prefix(kAddressBase, 8, std::move(up));
-      add_switch(p.kind, tier_ports, std::move(fib), 0, p.host_link, seed++);
+      add_switch(p.kind, tier_ports, std::move(fib), 0);
       if (armed) mgmt_port_.back() = k;
     }
   }
@@ -416,7 +406,7 @@ void Network::build(const FatTreeParams& p) {
       for (std::uint32_t pod = 0; pod < k; ++pod) {
         fib->add_prefix(make_ip(pod, 0, 0), 16, {{pod}});
       }
-      add_switch(p.kind, tier_ports, std::move(fib), 0, p.host_link, seed++);
+      add_switch(p.kind, tier_ports, std::move(fib), 0);
       if (armed) mgmt_port_.back() = k;
     }
   }
@@ -476,37 +466,22 @@ void Network::finish_wiring() {
   // Split hosts: install the cross-shard taps. Every switch whose hosts
   // live on another shard gets one mailbox pair (up: host shard -> switch
   // shard, down: the reverse) whose conservative latency is the access
-  // link's propagation delay; the per-host taps share them. The tap RNG
-  // streams are seeded by global host index, fixed by the topology —
-  // deterministic for any thread count, but a different stream than the
-  // one-shard fabric's shared one (lossy access links differ across
-  // builds).
-  std::size_t g = 0;  // global host index (host_loc_ creation order)
+  // link's propagation delay; the per-host taps share them.
   for (std::size_t i = 0; i < switches_.size(); ++i) {
+    if (host_shard_[i] == switch_shard_[i]) continue;
     std::vector<net::Host>& hosts = switches_[i].fabric->hosts();
-    if (host_shard_[i] == switch_shard_[i]) {
-      g += hosts.size();
-      continue;
-    }
-    const net::Link access = hosts.front().link();
-    sim::Mailbox& up = psim_->add_mailbox(host_shard_[i], switch_shard_[i], access.propagation);
-    sim::Mailbox& down =
-        psim_->add_mailbox(switch_shard_[i], host_shard_[i], access.propagation);
-    const Shard& sw = shards_[switch_shard_[i]];
+    const sim::Time propagation = hosts.front().link().propagation;
+    sim::Mailbox& up = psim_->add_mailbox(host_shard_[i], switch_shard_[i], propagation);
+    sim::Mailbox& down = psim_->add_mailbox(switch_shard_[i], host_shard_[i], propagation);
     for (net::Host& h : hosts) {
       auto tap = std::make_unique<HostTap>();
       tap->host = &h;
       tap->device = switches_[i].device.get();
       tap->port = h.port();
-      tap->link = access;
-      tap->sw_sim = sw.sim;
+      tap->propagation = propagation;
+      tap->sw_sim = shards_[switch_shard_[i]].sim;
       tap->up = &up;
       tap->down = &down;
-      tap->rng = sim::Rng(tm::placement::mix(loss_seed_ ^ (0xd011'0000ULL + g)));
-      sim::Scope hs =
-          sw.topo.scope("sw" + std::to_string(i)).scope("host" + std::to_string(h.port()));
-      tap->drops = &hs.counter("drops.link");
-      tap->spans = hs.span_recorder();
       HostTap* t = tap.get();
       h.set_uplink([t](sim::Time at, packet::Packet pkt) {
         t->up->push(at, [t, pkt = std::move(pkt)]() mutable {
@@ -515,7 +490,6 @@ void Network::finish_wiring() {
       });
       h.set_downlink([t](packet::Packet pkt) { t->deliver(std::move(pkt)); });
       taps_.push_back(std::move(tap));
-      ++g;
     }
   }
 
@@ -679,9 +653,6 @@ std::uint64_t Network::total_host_link_drops() const {
   for (const SwitchSlot& slot : switches_) {
     for (net::Host& h : slot.fabric->hosts()) total += h.link_drops();
   }
-  // Split hosts: downlink losses are counted switch-side by the taps
-  // (under the same per-host metric name), not in Host::metrics_.
-  for (const auto& tap : taps_) total += tap->drops->value();
   return total;
 }
 

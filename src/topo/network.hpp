@@ -54,12 +54,11 @@ struct FabricParams {
   /// stage state on first touch and shares its SwitchTemplate's parse
   /// graph / deparser. Replaces the former raw-config construction paths.
   TierProfile profile{};
-  /// The access links. On a ParallelSimulator a positive propagation delay
-  /// (the default) is the lookahead that puts each switch's hosts on a
-  /// shard of their own; zero keeps them on the switch's shard.
-  net::Link host_link{};
+  /// Every trunk's link; access links are always the lossless net::Link{}
+  /// (100 G, 500 ns).
   net::Link trunk_link{100.0, 1000 * sim::kNanosecond};
   std::uint64_t ecmp_seed = 0x7e1e'c0de;
+  /// Seeds the per-direction loss streams of lossy trunks.
   std::uint64_t loss_seed = 0xfab21c;
   /// Span tracing (off by default; see sim/span.hpp). When enabled the
   /// network arms every registry's SpanBuffer and stamps sampled flows at
@@ -106,15 +105,14 @@ class Network {
 
   /// Sharded construction for conservative-parallel runs: every switch gets
   /// a private shard (Simulator + MetricRegistry) on `psim`, its hosts a
-  /// second one (see FabricParams::host_link), and each trunk direction
-  /// crosses shards through a mailbox whose latency is the trunk's
-  /// propagation delay (the conservative lookahead). Drive the run with
-  /// psim.run(); read results through merged_snapshot()/finalize_metrics(),
-  /// which reproduce the monolithic build's metric names and bit-identical
-  /// values — same final time, same snapshot bytes, same trunk drops, for
-  /// lossy trunks too; only the executed-event count may differ from the
-  /// monolithic build by a few coalesced idle-wakes (see
-  /// ParallelSimulator::run).
+  /// second one, and each trunk direction and access link crosses shards
+  /// through a mailbox whose latency is the link's propagation delay (the
+  /// conservative lookahead). Drive the run with psim.run(); read results
+  /// through merged_snapshot()/finalize_metrics(), which reproduce the
+  /// monolithic build's metric names and bit-identical values — same final
+  /// time, same snapshot bytes, same trunk drops, for lossy trunks too;
+  /// only the executed-event count may differ from the monolithic build by
+  /// a few coalesced idle-wakes (see ParallelSimulator::run).
   Network(sim::ParallelSimulator& psim, const LeafSpineParams& params);
   Network(sim::ParallelSimulator& psim, const FatTreeParams& params);
 
@@ -171,7 +169,7 @@ class Network {
   /// One deterministic snapshot covering the whole fabric: the network
   /// registry's snapshot with every shard registry folded in by
   /// Snapshot::merge in shard order — same metric names, and the same
-  /// adcp-metrics-v1 bytes, on both builds (lossy access links aside).
+  /// adcp-metrics-v1 bytes, on both builds.
   [[nodiscard]] sim::Snapshot merged_snapshot() const;
 
   /// Every shard's SpanBuffer in shard order, ready for the span
@@ -341,24 +339,19 @@ class Network {
   };
 
   /// The switch-shard side of one host's access link when the hosts live
-  /// on their own shard: runs the downlink loss lottery with a private
-  /// per-host stream (drops counted in the switch shard's registry under
-  /// the host's metric name, so the merged snapshot still sums to one
-  /// "drops.link"), then mails Host::finish_rx across the cut. Also the
-  /// stable {device, port} the uplink mailbox injects through — the pair
-  /// is captured by pointer so the per-packet callback stays inside the
-  /// inline budget.
+  /// on their own shard: mails Host::finish_rx across the cut one
+  /// propagation delay after the switch's TX completes. Also the stable
+  /// {device, port} the uplink mailbox injects through, captured by
+  /// pointer: the per-packet callback is [t, pkt], 96 of the 120 inline
+  /// callback bytes.
   struct HostTap {
     net::Host* host = nullptr;            // finish_rx target (host shard)
     net::SwitchDevice* device = nullptr;  // uplink inject target (switch shard)
     packet::PortId port = 0;
-    net::Link link;
+    sim::Time propagation = 0;         // the access link's
     sim::Simulator* sw_sim = nullptr;  // downlink producer clock
     sim::Mailbox* up = nullptr;        // host shard -> switch shard
     sim::Mailbox* down = nullptr;      // switch shard -> host shard
-    sim::Rng rng{0};                   // downlink loss lottery
-    sim::Counter* drops = nullptr;     // switch-shard registry
-    sim::SpanRecorder spans;           // switch-shard buffer
 
     void deliver(packet::Packet pkt);
   };
@@ -386,8 +379,7 @@ class Network {
   /// Creates switch i (device + fabric with `host_count` hosts) and loads
   /// the tier's routing program for `fib`.
   SwitchSlot& add_switch(SwitchKind kind, std::uint32_t port_count,
-                         std::shared_ptr<ForwardingTable> fib, std::size_t host_count,
-                         net::Link host_link, std::uint64_t loss_seed);
+                         std::shared_ptr<ForwardingTable> fib, std::size_t host_count);
   /// Creates trunk i between port `a_port` of switch `a` and port `b_port`
   /// of switch `b`; `a` must be the lower tier (side 0 = upward traffic,
   /// the direction ECMP spreads). Returns the trunk index.
@@ -416,7 +408,7 @@ class Network {
   double build_t0_ms_ = 0.0;           // begin_build() wall-clock origin
   std::uint64_t build_reserved0_ = 0;  // StateAccounting at begin_build()
   std::uint64_t build_touched0_ = 0;
-  std::uint64_t loss_seed_ = 0;  // seeds the per-direction and per-host loss streams
+  std::uint64_t loss_seed_ = 0;  // seeds the per-direction trunk loss streams
   sim::TraceConfig trace_cfg_{};
   sim::TraceSampler sampler_;  // stable address: hosts keep a pointer
   // Declared before scope_, which may register through it.

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "packet/headers.hpp"
+#include "topo/network.hpp"
 
 namespace adcp::workload {
 
@@ -19,6 +20,15 @@ std::vector<std::uint32_t> incast_senders(const RackIncastParams& params,
 }
 
 }  // namespace
+
+std::vector<RackHost> rack_hosts(topo::Network& net) {
+  std::vector<RackHost> hosts;
+  hosts.reserve(net.host_count());
+  for (std::size_t i = 0; i < net.host_count(); ++i) {
+    hosts.push_back({&net.host(i), net.ip_of(i)});
+  }
+  return hosts;
+}
 
 coflow::CoflowDescriptor rack_incast_descriptor(const RackIncastParams& params,
                                                 std::size_t host_count) {

@@ -26,6 +26,10 @@
 #include "net/host.hpp"
 #include "sim/simulator.hpp"
 
+namespace adcp::topo {
+class Network;
+}
+
 namespace adcp::workload {
 
 /// One addressable endpoint of a multi-switch topology: the host object
@@ -34,6 +38,9 @@ struct RackHost {
   net::Host* host = nullptr;
   std::uint32_t ip = 0;
 };
+
+/// Every host of `net` with its address, in host-index order.
+[[nodiscard]] std::vector<RackHost> rack_hosts(topo::Network& net);
 
 /// The UDP source port a flow advertises (varies per flow so the ECMP
 /// 5-tuple hash spreads flows; stable per flow so paths never change).

@@ -31,7 +31,7 @@ namespace adcp {
 namespace {
 
 using test::fnv1a;
-using test::rack_hosts;
+using workload::rack_hosts;
 
 packet::Packet canonical_packet(std::uint32_t flow = 7, std::size_t elems = 0) {
   packet::IncPacketSpec spec;
@@ -221,7 +221,6 @@ TEST(CopyPatch, ForwardPatchesOnlyTtl) {
   EXPECT_EQ(out.data.read(22, 1), packet::kIncInitialTtl - 1u);
   EXPECT_EQ(out.meta.flow_id, 7u);
   EXPECT_EQ(out.meta.coflow_id, 3u);
-  EXPECT_FALSE(out.meta.drop);
   // Every byte but the TTL is a straight copy.
   ASSERT_EQ(out.data.size(), before.size());
   for (std::size_t i = 0; i < before.size(); ++i) {

@@ -227,14 +227,6 @@ TEST(Deparser, ModifiedPhvChangesWire) {
   EXPECT_EQ(decoded.elements[1].value, 11u);  // untouched
 }
 
-TEST(Deparser, DropMetaPropagates) {
-  const Deparser dep = standard_deparser();
-  Phv phv;
-  phv.set(f::kMetaDrop, 1);
-  const Packet out = dep.deparse(phv, Packet{}, 0);
-  EXPECT_TRUE(out.meta.drop);
-}
-
 // Property sweep: parse -> deparse is the identity for any element count
 // the parser is configured to accept.
 class RoundTrip : public ::testing::TestWithParam<std::size_t> {};

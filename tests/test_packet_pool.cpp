@@ -44,8 +44,7 @@ TEST(PacketPool, ReacquiredPacketIsEmptyWithDefaultMetadata) {
   make_inc_packet_into(small_spec(), pkt);
   ASSERT_GT(pkt.size(), 0u);
   pkt.meta.ingress_port = 3;
-  pkt.meta.egress_ports.push_back(1);
-  pkt.meta.egress_ports.push_back(2);
+  pkt.meta.flow_hash = 0x5eed;
   const std::size_t had_capacity = pkt.data.capacity();
 
   pool.release(std::move(pkt));
@@ -53,7 +52,7 @@ TEST(PacketPool, ReacquiredPacketIsEmptyWithDefaultMetadata) {
   EXPECT_EQ(pool.stats().recycled, 1u);
   EXPECT_EQ(again.size(), 0u);
   EXPECT_EQ(again.meta.ingress_port, kInvalidPort);
-  EXPECT_TRUE(again.meta.egress_ports.empty());
+  EXPECT_EQ(again.meta.flow_hash, 0u);
   // The whole point of recycling: capacity survives the round trip.
   EXPECT_GE(again.data.capacity(), had_capacity);
 }

@@ -28,7 +28,7 @@ namespace adcp {
 namespace {
 
 using test::fnv1a;
-using test::rack_hosts;
+using workload::rack_hosts;
 
 // --- kernel window primitives ---------------------------------------------
 

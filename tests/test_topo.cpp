@@ -29,7 +29,7 @@ namespace adcp {
 namespace {
 
 using test::fnv1a;
-using test::rack_hosts;
+using workload::rack_hosts;
 
 std::uint64_t total_reordered(topo::Network& net) {
   std::uint64_t total = 0;
