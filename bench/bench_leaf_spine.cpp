@@ -32,7 +32,8 @@
 // The parallel bench also measures construction itself per scale — one
 // traffic-free build, wall-clock + RSS + byte accounting — as the
 // <scale>.construction.{build_ms,rss_bytes,bytes_reserved,bytes_touched,
-// templates_built,templates_shared} series in BENCH_parallel.json.
+// stages_declared,stages_materialized,templates_built,templates_shared}
+// series in BENCH_parallel.json.
 //
 // Exit codes: 0 on success, 1 when a run fails a gate or the report or a
 // trace cannot be written, 2 on a bad command line.
@@ -273,7 +274,7 @@ double rss_bytes_now() {
 
 /// Builds the fabric (no traffic) and records what construction cost:
 /// <scope>.{build_ms, rss_bytes, bytes_reserved, bytes_touched,
-/// templates_built, templates_shared}.
+/// stages_declared, stages_materialized, templates_built, templates_shared}.
 template <typename Params>
 void bench_construction(sim::Scope scope, const Params& p) {
   const double rss0 = rss_bytes_now();
@@ -284,9 +285,11 @@ void bench_construction(sim::Scope scope, const Params& p) {
   net.export_construction(scope);
   scope.gauge("rss_bytes").set(rss);
   std::printf("  build: %8.2f ms  rss %8.1f MB  touched %8.1f MB"
-              "  (reserved %.1f MB, %llu templates, %llu shared)\n",
+              "  (reserved %.1f MB, %llu of %llu stages built, %llu templates, %llu shared)\n",
               c.build_ms, rss / 1e6, static_cast<double>(c.bytes_touched) / 1e6,
               static_cast<double>(c.bytes_reserved) / 1e6,
+              static_cast<unsigned long long>(c.stages_materialized),
+              static_cast<unsigned long long>(c.stages_declared),
               static_cast<unsigned long long>(c.templates_built),
               static_cast<unsigned long long>(c.templates_shared));
 }

@@ -5,7 +5,12 @@
 namespace adcp::mat {
 
 ArrayMatEngine::ArrayMatEngine(ArrayEngineConfig config)
-    : config_(config), registers_(config.register_cells) {
+    : ArrayMatEngine(config, ReservedByOwner{}) {
+  StateAccounting::add_reserved(declared_bytes(config_));
+}
+
+ArrayMatEngine::ArrayMatEngine(ArrayEngineConfig config, ReservedByOwner owner)
+    : config_(config), registers_(config.register_cells, owner) {
   assert(config_.lane_width > 0 && config_.memory_clock_multiplier > 0);
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "mat/register.hpp"
+#include "mat/state_accounting.hpp"
 
 namespace adcp::mat {
 
@@ -49,6 +50,14 @@ struct ArrayEngineConfig {
 class ArrayMatEngine {
  public:
   explicit ArrayMatEngine(ArrayEngineConfig config);
+  /// As above, for an owner that already charged declared_bytes(config).
+  ArrayMatEngine(ArrayEngineConfig config, ReservedByOwner);
+
+  /// Bytes of simulated state an engine of `config` declares: its register
+  /// array (the unified match table holds only the entries inserted).
+  static constexpr std::uint64_t declared_bytes(const ArrayEngineConfig& config) {
+    return RegisterFile::declared_bytes(config.register_cells);
+  }
 
   /// Pipe cycles needed to retire a batch of `n` operations (>= 1).
   [[nodiscard]] std::uint64_t cycles_for(std::size_t n) const;

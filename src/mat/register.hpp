@@ -36,7 +36,14 @@ class RegisterFile {
  public:
   /// Reserves `cells` zeroed cells; the store appears on first write.
   explicit RegisterFile(std::size_t cells) : size_(cells) {
-    StateAccounting::add_reserved(size_ * sizeof(std::uint64_t));
+    StateAccounting::add_reserved(declared_bytes(cells));
+  }
+  /// As above, for an owner that already charged declared_bytes(cells).
+  RegisterFile(std::size_t cells, ReservedByOwner) : size_(cells) {}
+
+  /// Bytes a file of `cells` cells declares (and materializes when touched).
+  static constexpr std::uint64_t declared_bytes(std::size_t cells) {
+    return cells * sizeof(std::uint64_t);
   }
 
   /// Applies `op` to cell `index` with `operand`; returns the op's result.
@@ -76,7 +83,7 @@ class RegisterFile {
   void touch() {
     if (!cells_.empty() || size_ == 0) return;
     cells_.assign(size_, 0);
-    StateAccounting::add_touched(size_ * sizeof(std::uint64_t));
+    StateAccounting::add_touched(declared_bytes(size_));
   }
 
   std::size_t size_;

@@ -7,12 +7,24 @@
 // monotone for the life of the process; callers that want the cost of one
 // build take a before/after delta. Counters are relaxed atomics because
 // lazy materialization can happen on PDES worker threads.
+//
+// Each object that declares state charges its own reservation when it is
+// built, unless it is built with the `ReservedByOwner` tag: an owner that
+// declares more than it builds up front (a pipeline declares all its
+// stages, builds each on first touch) charges the whole declaration once,
+// and the parts it builds later charge only what they touch.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
 namespace adcp::mat {
+
+/// Constructor tag: the owner already charged this object's declared bytes
+/// to StateAccounting::add_reserved, so building it charges nothing more.
+struct ReservedByOwner {
+  explicit ReservedByOwner() = default;
+};
 
 class StateAccounting {
  public:

@@ -31,10 +31,12 @@ using TxHandler = std::function<void(packet::PortId port, packet::Packet pkt)>;
 ///    (sub-components hang off it: "<scope>.tm", "<scope>.pool", ...). A
 ///    detached scope (the default) falls back to a private registry whose
 ///    prefix is the model's own lowercase name: "rmt" / "adcp" / "rtc".
-///  * Construction is cheap: heavy state (stage register files, array
-///    engines) is reserved, not materialized — it appears on first touch
-///    (mat::RegisterFile), so building a fabric of thousands of switches
-///    costs what the workload touches, not what the configs declare.
+///  * Construction is cheap: heavy state (pipeline stages, their register
+///    files and array engines) is reserved, not materialized — a stage is
+///    built when a program names it and its registers on first write
+///    (pipeline::Pipeline, mat::RegisterFile), so building a fabric of
+///    thousands of switches costs what the workload touches, not what the
+///    configs declare.
 ///  * `load_program()` must run before traffic. Fabric builders pass
 ///    shared parse/deparse templates (topo::SwitchTemplate) so identical
 ///    switches share one immutable graph.

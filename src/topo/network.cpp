@@ -9,6 +9,7 @@
 #include "core/adcp_switch.hpp"
 #include "mat/state_accounting.hpp"
 #include "packet/headers.hpp"
+#include "pipeline/pipeline.hpp"
 #include "rmt/rmt_switch.hpp"
 #include "rtc/rtc_switch.hpp"
 #include "topo/programs.hpp"
@@ -98,12 +99,18 @@ void Network::begin_build() {
   build_t0_ms_ = wall_ms();
   build_reserved0_ = mat::StateAccounting::reserved_bytes();
   build_touched0_ = mat::StateAccounting::touched_bytes();
+  build_stages_declared0_ = pipeline::Pipeline::stages_declared_total();
+  build_stages_materialized0_ = pipeline::Pipeline::stages_materialized_total();
 }
 
 void Network::end_build() {
   construction_.build_ms = wall_ms() - build_t0_ms_;
   construction_.bytes_reserved = mat::StateAccounting::reserved_bytes() - build_reserved0_;
   construction_.bytes_touched = mat::StateAccounting::touched_bytes() - build_touched0_;
+  construction_.stages_declared =
+      pipeline::Pipeline::stages_declared_total() - build_stages_declared0_;
+  construction_.stages_materialized =
+      pipeline::Pipeline::stages_materialized_total() - build_stages_materialized0_;
 }
 
 const SwitchTemplate& Network::template_for(SwitchKind kind, std::uint32_t port_count) {
@@ -129,6 +136,9 @@ void Network::export_construction(sim::Scope scope) const {
   scope.gauge("build_ms").set(construction_.build_ms);
   scope.gauge("bytes_reserved").set(static_cast<double>(construction_.bytes_reserved));
   scope.gauge("bytes_touched").set(static_cast<double>(construction_.bytes_touched));
+  scope.gauge("stages_declared").set(static_cast<double>(construction_.stages_declared));
+  scope.gauge("stages_materialized")
+      .set(static_cast<double>(construction_.stages_materialized));
   scope.gauge("templates_built").set(static_cast<double>(construction_.templates_built));
   scope.gauge("templates_shared").set(static_cast<double>(construction_.templates_shared));
 }

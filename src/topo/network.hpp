@@ -193,21 +193,26 @@ class Network {
   /// the run, before snapshotting the registry.
   void finalize_metrics();
 
-  /// What building this fabric cost. Byte figures are deltas of
-  /// mat::StateAccounting over the constructor, so they cover exactly this
-  /// network's switches: `bytes_reserved` is what the configs declared,
-  /// `bytes_touched` what actually materialized (near zero until traffic
-  /// runs).
+  /// What building this fabric cost. Byte and stage figures are deltas of
+  /// mat::StateAccounting and the pipeline::Pipeline stage census over the
+  /// constructor, so they cover exactly this network's switches:
+  /// `bytes_reserved` is what the configs declared (every declared stage,
+  /// built or not), `bytes_touched` what actually materialized (near zero
+  /// until traffic runs); `stages_materialized` counts the pipeline stages
+  /// the programs named, out of `stages_declared`.
   struct ConstructionStats {
     double build_ms = 0.0;
     std::uint64_t bytes_reserved = 0;
     std::uint64_t bytes_touched = 0;
+    std::uint64_t stages_declared = 0;
+    std::uint64_t stages_materialized = 0;
     std::uint64_t templates_built = 0;   ///< distinct (kind, ports) keys
     std::uint64_t templates_shared = 0;  ///< template-cache hits
   };
   [[nodiscard]] const ConstructionStats& construction() const { return construction_; }
   /// Writes the construction stats as gauges ("build_ms",
-  /// "bytes_reserved", "bytes_touched", "templates_built",
+  /// "bytes_reserved", "bytes_touched", "stages_declared",
+  /// "stages_materialized", "templates_built",
   /// "templates_shared") under `scope` — pass a scope of a *reporting*
   /// registry, not this network's own: build wall-clock is host-dependent
   /// and must stay out of the snapshots the determinism gates compare.
@@ -408,6 +413,8 @@ class Network {
   double build_t0_ms_ = 0.0;           // begin_build() wall-clock origin
   std::uint64_t build_reserved0_ = 0;  // StateAccounting at begin_build()
   std::uint64_t build_touched0_ = 0;
+  std::uint64_t build_stages_declared0_ = 0;  // stage census at begin_build()
+  std::uint64_t build_stages_materialized0_ = 0;
   std::uint64_t loss_seed_ = 0;  // seeds the per-direction trunk loss streams
   sim::TraceConfig trace_cfg_{};
   sim::TraceSampler sampler_;  // stable address: hosts keep a pointer

@@ -15,10 +15,11 @@
 //  * SwitchTemplate — the immutable per-(kind, port_count) bundle a
 //    Network builds once and shares by shared_ptr across every identical
 //    switch: resolved model config plus the parse graph / deparser the
-//    routing programs use. Per-instance state (stage registers, TM
-//    accounting, metric scopes) stays per switch and materializes on first
-//    touch (mat::RegisterFile), with byte-accurate accounting of what is
-//    reserved and what is touched via mat::StateAccounting.
+//    routing programs use. Per-instance state (pipeline stages and their
+//    registers, TM accounting, metric scopes) stays per switch and
+//    materializes on first touch (pipeline::Pipeline, mat::RegisterFile),
+//    with byte-accurate accounting of what is reserved and what is touched
+//    via mat::StateAccounting.
 #pragma once
 
 #include <cstdint>

@@ -177,7 +177,9 @@ TEST(ConstructionTemplates, SharingWorksAcrossKinds) {
 /// state (gigabytes) while materializing essentially none of it at build
 /// time: routing programs only install match entries. The ceiling is
 /// pinned; raise it deliberately with any change that adds a legitimate
-/// construction-time register write.
+/// construction-time register write. Pipeline stages are first-touch too:
+/// of the 80 x 36 pipelines x 12 stages declared, the routing program
+/// names only stage 0 of each switch's 4 central pipes.
 TEST(ConstructionBudget, SlimFatTree8BuildStaysUnderTouchCeiling) {
   sim::Simulator sim;
   topo::FatTreeParams p;
@@ -188,6 +190,8 @@ TEST(ConstructionBudget, SlimFatTree8BuildStaysUnderTouchCeiling) {
   const auto& c = net.construction();
   EXPECT_GT(c.bytes_reserved, 1ull << 30) << "fleet state no longer accounted?";
   EXPECT_LE(c.bytes_touched, 1ull << 20) << "construction now materializes state";
+  EXPECT_EQ(c.stages_declared, 34'560u);
+  EXPECT_EQ(c.stages_materialized, 320u) << "construction builds stages no program names";
   // 80 switches of one shape share one template.
   EXPECT_EQ(c.templates_built, 1u);
   EXPECT_EQ(c.templates_shared, 79u);
