@@ -1,5 +1,6 @@
 #include "sim/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -64,12 +65,20 @@ std::string Scope::full(std::string_view name) const {
 
 Scope Scope::scope(std::string_view name) const { return Scope{registry_, full(name)}; }
 
-Counter& Scope::counter(std::string_view name) const { return registry_->counter(full(name)); }
-Gauge& Scope::gauge(std::string_view name) const { return registry_->gauge(full(name)); }
-Gauge& Scope::watermark(std::string_view name) const { return registry_->watermark(full(name)); }
-Summary& Scope::summary(std::string_view name) const { return registry_->summary(full(name)); }
+Counter& Scope::counter(std::string_view name) const {
+  return registry_->resolve<Counter>(full(name), MetricKind::kCounter);
+}
+Gauge& Scope::gauge(std::string_view name) const {
+  return registry_->resolve<Gauge>(full(name), MetricKind::kGauge);
+}
+Gauge& Scope::watermark(std::string_view name) const {
+  return registry_->resolve<Gauge>(full(name), MetricKind::kWatermark);
+}
+Summary& Scope::summary(std::string_view name) const {
+  return registry_->resolve<Summary>(full(name), MetricKind::kSummary);
+}
 Histogram& Scope::histogram(std::string_view name) const {
-  return registry_->histogram(full(name));
+  return registry_->resolve<Histogram>(full(name), MetricKind::kHistogram);
 }
 
 SpanRecorder Scope::span_recorder() const {
@@ -85,18 +94,17 @@ Scope resolve_scope(const Scope& requested, std::unique_ptr<MetricRegistry>& own
 
 // ------------------------------------------------------- MetricRegistry --
 
-Metric& MetricRegistry::slot(std::string_view name, MetricKind kind) {
-  auto it = metrics_.find(name);
-  if (it == metrics_.end()) {
-    it = metrics_.emplace(std::string(name), Metric{}).first;
+Metric& MetricRegistry::slot(std::string name, MetricKind kind) {
+  const auto [it, added] = metrics_.try_emplace(std::move(name));
+  if (added) {
     Metric& m = it->second;
     m.kind = kind;
     switch (kind) {
-      case MetricKind::kCounter: m.counter = std::make_unique<Counter>(); break;
-      case MetricKind::kGauge: m.gauge = std::make_unique<Gauge>(); break;
-      case MetricKind::kWatermark: m.gauge = std::make_unique<Gauge>(); break;
-      case MetricKind::kSummary: m.summary = std::make_unique<Summary>(); break;
-      case MetricKind::kHistogram: m.histogram = std::make_unique<Histogram>(); break;
+      case MetricKind::kCounter: break;
+      case MetricKind::kGauge:
+      case MetricKind::kWatermark: m.payload.emplace<Gauge>(); break;
+      case MetricKind::kSummary: m.payload.emplace<Summary>(); break;
+      case MetricKind::kHistogram: m.payload.emplace<Histogram>(); break;
     }
     return m;
   }
@@ -114,48 +122,50 @@ Metric& MetricRegistry::slot(std::string_view name, MetricKind kind) {
 Snapshot MetricRegistry::snapshot() const {
   Snapshot snap;
   snap.entries_.reserve(metrics_.size());
-  for (const auto& [name, m] : metrics_) {  // map iteration: sorted by name
+  for (const auto& [name, m] : metrics_) {
     Snapshot::Entry e;
     e.name = name;
     e.kind = m.kind;
     switch (m.kind) {
       case MetricKind::kCounter:
-        e.value = static_cast<double>(m.counter->value());
-        e.count = m.counter->value();
+        e.count = std::get<Counter>(m.payload).value();
+        e.value = static_cast<double>(e.count);
         break;
       case MetricKind::kGauge:
       case MetricKind::kWatermark:
-        e.value = m.gauge->value();
+        e.value = std::get<Gauge>(m.payload).value();
         e.count = 1;
         break;
-      case MetricKind::kSummary:
-        e.value = m.summary->mean();
-        e.count = m.summary->count();
-        e.min = m.summary->min();
-        e.max = m.summary->max();
+      case MetricKind::kSummary: {
+        const auto& s = std::get<Summary>(m.payload);
+        e.value = s.mean();
+        e.count = s.count();
+        e.min = s.min();
+        e.max = s.max();
         break;
-      case MetricKind::kHistogram:
-        e.value = m.histogram->mean();
-        e.count = m.histogram->count();
-        e.p50 = m.histogram->quantile(0.5);
-        e.p99 = m.histogram->quantile(0.99);
-        e.hist_samples = m.histogram->samples();
+      }
+      case MetricKind::kHistogram: {
+        const auto& h = std::get<Histogram>(m.payload);
+        e.value = h.mean();
+        e.count = h.count();
+        e.p50 = h.quantile(0.5);
+        e.p99 = h.quantile(0.99);
+        e.hist_samples = h.samples();
         break;
+      }
     }
     snap.entries_.push_back(std::move(e));
   }
+  // The hashed index has no order; the export's is by name, sorted once
+  // here (find() and merge() rely on it).
+  std::sort(snap.entries_.begin(), snap.entries_.end(),
+            [](const Snapshot::Entry& a, const Snapshot::Entry& b) { return a.name < b.name; });
   return snap;
 }
 
 void MetricRegistry::reset() {
   for (auto& [name, m] : metrics_) {
-    switch (m.kind) {
-      case MetricKind::kCounter: m.counter->reset(); break;
-      case MetricKind::kGauge: m.gauge->reset(); break;
-      case MetricKind::kWatermark: m.gauge->reset(); break;
-      case MetricKind::kSummary: m.summary->reset(); break;
-      case MetricKind::kHistogram: m.histogram->reset(); break;
-    }
+    std::visit([](auto& payload) { payload.reset(); }, m.payload);
   }
   spans_.clear();
 }

@@ -5,18 +5,20 @@
 // dotted prefix ("rmt0.tm.drops.admission") via a Scope handle and keeps
 // direct Counter&/Gauge&/Histogram& references, so the hot path is exactly
 // the same `value_ += n` it was with ad-hoc stats structs — registration
-// allocates, increments never do. Snapshots iterate in sorted-name order,
-// making exports byte-stable for a fixed run; the TimeSeriesSampler polls
-// selected metrics on a simulated-time cadence via Simulator::every(),
+// allocates, increments never do. Snapshots list metrics in sorted-name
+// order, making exports byte-stable for a fixed run; the TimeSeriesSampler
+// polls selected metrics on a simulated-time cadence via Simulator::every(),
 // scheduling nothing unless started so determinism pins are untouched.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -74,16 +76,12 @@ class Scope {
   std::string prefix_;
 };
 
-/// One registered metric: exactly one of the payload pointers is set,
-/// according to `kind` (kWatermark reuses the gauge payload). Metrics live
-/// behind unique_ptr so references handed to components stay valid as the
-/// registry map grows.
+/// One registered metric: its kind and the payload that kind holds
+/// (kWatermark holds a Gauge). The registry keeps each metric in its own
+/// map node, so references handed to components stay valid as it grows.
 struct Metric {
   MetricKind kind = MetricKind::kCounter;
-  std::unique_ptr<Counter> counter;
-  std::unique_ptr<Gauge> gauge;
-  std::unique_ptr<Summary> summary;
-  std::unique_ptr<Histogram> histogram;
+  std::variant<Counter, Gauge, Summary, Histogram> payload;
 };
 
 /// Point-in-time view of a registry, with deterministic (sorted-name)
@@ -128,14 +126,14 @@ class Snapshot {
 
  private:
   friend class MetricRegistry;
-  std::vector<Entry> entries_;  // sorted by name (registry map order)
+  std::vector<Entry> entries_;  // sorted by name
 };
 
 /// The registry proper. Owns every metric plus the span flight recorder.
-/// Name lookup is a sorted map so snapshot order is deterministic for
-/// free; re-registering an existing (name, kind) returns the same object,
-/// which lets components that rebuild sub-parts (e.g. AdcpSwitch's TMs on
-/// load_program) re-bind without double-counting.
+/// Name lookup is hashed; order is a property of the export, which
+/// snapshot() sorts by name. Re-registering an existing (name, kind)
+/// returns the same object, which lets components that rebuild sub-parts
+/// (e.g. AdcpSwitch's TMs on load_program) re-bind without double-counting.
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -144,17 +142,23 @@ class MetricRegistry {
 
   [[nodiscard]] Scope scope(std::string_view prefix) { return Scope{this, std::string(prefix)}; }
 
-  Counter& counter(std::string_view name) { return *slot(name, MetricKind::kCounter).counter; }
-  Gauge& gauge(std::string_view name) { return *slot(name, MetricKind::kGauge).gauge; }
-  Gauge& watermark(std::string_view name) { return *slot(name, MetricKind::kWatermark).gauge; }
-  Summary& summary(std::string_view name) { return *slot(name, MetricKind::kSummary).summary; }
+  Counter& counter(std::string_view name) {
+    return resolve<Counter>(std::string(name), MetricKind::kCounter);
+  }
+  Gauge& gauge(std::string_view name) {
+    return resolve<Gauge>(std::string(name), MetricKind::kGauge);
+  }
+  Gauge& watermark(std::string_view name) {
+    return resolve<Gauge>(std::string(name), MetricKind::kWatermark);
+  }
+  Summary& summary(std::string_view name) {
+    return resolve<Summary>(std::string(name), MetricKind::kSummary);
+  }
   Histogram& histogram(std::string_view name) {
-    return *slot(name, MetricKind::kHistogram).histogram;
+    return resolve<Histogram>(std::string(name), MetricKind::kHistogram);
   }
 
-  [[nodiscard]] bool contains(std::string_view name) const {
-    return metrics_.find(name) != metrics_.end();
-  }
+  [[nodiscard]] bool contains(std::string_view name) const { return metrics_.contains(name); }
   [[nodiscard]] std::size_t size() const { return metrics_.size(); }
 
   /// The registry's span flight recorder (disabled until
@@ -167,9 +171,16 @@ class MetricRegistry {
   void reset();
 
  private:
-  Metric& slot(std::string_view name, MetricKind kind);
+  friend class Scope;  // registers the names it builds without a copy
 
-  std::map<std::string, Metric, std::less<>> metrics_;
+  /// The payload of `name`, resolved or created as `kind`.
+  template <typename T>
+  T& resolve(std::string name, MetricKind kind) {
+    return std::get<T>(slot(std::move(name), kind).payload);
+  }
+  Metric& slot(std::string name, MetricKind kind);
+
+  std::unordered_map<std::string, Metric, NameHash, std::equal_to<>> metrics_;
   SpanBuffer spans_;
 };
 

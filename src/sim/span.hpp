@@ -25,8 +25,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -126,6 +128,16 @@ class TraceSampler {
   std::uint64_t seed_ = 0;
 };
 
+/// Transparent string hash for the name indexes (span components here,
+/// metric names in metrics.hpp): with std::equal_to<> as the key equality,
+/// a std::string-keyed unordered_map finds a std::string_view directly.
+struct NameHash {
+  using is_transparent = void;
+  [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
 class SpanBuffer;
 
 /// Recording handle bound to one (buffer, component). Copyable and
@@ -163,7 +175,7 @@ class SpanRecorder {
 class SpanBuffer {
  public:
   SpanBuffer() {
-    components_.emplace_back();  // index 0: the anonymous component ""
+    intern("");  // index 0: the anonymous component
   }
 
   /// Arms the recorder with a preallocated ring of `capacity` spans and
@@ -213,12 +225,13 @@ class SpanBuffer {
  private:
   friend class SpanRecorder;
 
+  /// Dense ids in first-use order, looked up through the hashed index.
   std::uint32_t intern(std::string_view name) {
-    for (std::uint32_t i = 0; i < components_.size(); ++i) {
-      if (components_[i] == name) return i;
-    }
+    if (const auto it = ids_.find(name); it != ids_.end()) return it->second;
+    const auto id = static_cast<std::uint32_t>(components_.size());
     components_.emplace_back(name);
-    return static_cast<std::uint32_t>(components_.size() - 1);
+    ids_.emplace(components_.back(), id);
+    return id;
   }
 
   void record(std::uint32_t component, SpanKind kind, std::uint64_t trace_id, Time begin,
@@ -237,7 +250,8 @@ class SpanBuffer {
   std::vector<Span> ring_;
   std::uint64_t capacity_ = 0;
   std::uint64_t recorded_ = 0;
-  std::vector<std::string> components_;
+  std::vector<std::string> components_;  // id -> name
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>> ids_;
 };
 
 inline void SpanRecorder::span(SpanKind kind, std::uint64_t trace_id, Time begin, Time end,

@@ -448,6 +448,12 @@ void Network::finish_wiring() {
   // closures capture pointers into them (set_control_sink fills the slots
   // later, after ctrl:: attaches).
   ctrl_sinks_.resize(switches_.size());
+  // Each switch's port -> outgoing wire map, bucketed in one pass.
+  std::vector<std::vector<Wire*>> tx_wires(switches_.size());
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    tx_wires[i].assign(switches_[i].device->port_count(), nullptr);
+  }
+  for (Wire& w : wires_) tx_wires[w.from][w.from_port] = &w;
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     SwitchSlot& slot = switches_[i];
     // Management-port TX runs on the switch's shard, so a sink stages
@@ -459,12 +465,8 @@ void Network::finish_wiring() {
     const packet::PortId mgmt = mgmt_port_[i];
     std::function<void(const packet::Packet&)>* sink =
         mgmt != packet::kInvalidPort ? &ctrl_sinks_[i] : nullptr;
-    std::vector<Wire*> map(slot.device->port_count(), nullptr);
-    for (Wire& w : wires_) {
-      if (w.from == i) map[w.from_port] = &w;
-    }
-    slot.fabric->set_default_tx([map = std::move(map), mgmt, sink](packet::PortId port,
-                                                                   packet::Packet pkt) {
+    slot.fabric->set_default_tx([map = std::move(tx_wires[i]), mgmt, sink](
+                                    packet::PortId port, packet::Packet pkt) {
       if (port == mgmt && sink != nullptr) {
         if (*sink) (*sink)(pkt);
         return;

@@ -2,7 +2,9 @@
 // snapshot ordering, scoped registration, and simulated-time sampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,34 @@ TEST(MetricRegistry, SnapshotOrderIndependentOfRegistrationOrder) {
     EXPECT_LT(f.entries()[i - 1].name, f.entries()[i].name);
   }
   EXPECT_EQ(f.to_json("x"), b.to_json("x"));
+
+  // A fabric's worth of names sharing long prefixes, registered in two
+  // seeded shuffles: each snapshot lists every name once, in sorted order.
+  std::vector<std::string> fabric;
+  for (int sw = 0; sw < 250; ++sw) {
+    for (int q = 0; q < 20; ++q) {
+      fabric.push_back("topo.sw" + std::to_string(sw) + ".tm1.queue" + std::to_string(q) +
+                       ".drops.admission");
+    }
+  }
+  std::vector<std::string> sorted = fabric;
+  std::sort(sorted.begin(), sorted.end());
+  std::string json;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    std::vector<std::string> order = fabric;
+    std::shuffle(order.begin(), order.end(), std::mt19937_64{seed});
+    MetricRegistry reg;
+    for (const std::string& n : order) reg.counter(n).add(n.size());
+    const Snapshot snap = reg.snapshot();
+    std::vector<std::string> listed;
+    for (const Snapshot::Entry& e : snap.entries()) listed.push_back(e.name);
+    EXPECT_EQ(listed, sorted) << "seed " << seed;
+    if (json.empty()) {
+      json = snap.to_json("x");
+    } else {
+      EXPECT_EQ(snap.to_json("x"), json);
+    }
+  }
 }
 
 TEST(MetricRegistry, ReRegistrationReturnsSameMetric) {
@@ -101,6 +131,17 @@ TEST(MetricRegistry, ReRegistrationReturnsSameMetric) {
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(second.value(), 3u);
   EXPECT_EQ(reg.size(), 1u);
+
+  // The registry keeps the metric where it was as it grows by many rehashes
+  // (a flat hash map would move it).
+  for (int i = 0; i < 10000; ++i) {
+    reg.counter("topo.sw" + std::to_string(i) + ".rx.packets").add(1);
+    reg.gauge("topo.sw" + std::to_string(i) + ".tm1.depth").set(i);
+  }
+  Counter& third = reg.counter("core0.tm1.enqueued");
+  EXPECT_EQ(&third, &first);
+  EXPECT_EQ(third.value(), 3u);
+  EXPECT_EQ(reg.size(), 20001u);
 }
 
 TEST(Scope, DetachedScopeFallsBackToPrivateRegistry) {

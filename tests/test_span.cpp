@@ -87,6 +87,40 @@ TEST(SpanBuffer, RingWrapsOldestFirstAndCountsDrops) {
   EXPECT_EQ(buf.component_names()[buf.at(0).component], "sw0");
 }
 
+TEST(SpanBuffer, InternsNamesDenselyInFirstUseOrder) {
+  // 2000 component names sharing a long prefix, first used in a permuted
+  // order (7919 is prime, so i * 7919 mod 2000 visits every switch once).
+  std::vector<std::string> names;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    names.push_back("topo.sw" + std::to_string(i * 7919 % 2000) + ".tm1");
+  }
+  SpanBuffer buf;
+  buf.enable(4096);
+  std::uint64_t trace = 1;
+  for (const std::string& n : names) buf.recorder(n).span(SpanKind::kRx, trace++, 0, 1);
+  // Re-interning a name returns the id its first use got.
+  std::vector<std::uint32_t> again;
+  for (std::uint32_t i = 0; i < names.size(); i += 3) {
+    buf.recorder(names[i]).span(SpanKind::kTx, trace++, 0, 1);
+    again.push_back(i + 1);
+  }
+  buf.recorder("").span(SpanKind::kTx, trace++, 0, 1);
+  again.push_back(0);
+
+  // Index 0 is the anonymous component; names follow in first-use order.
+  const std::vector<std::string>& listed = buf.component_names();
+  ASSERT_EQ(listed.size(), names.size() + 1);
+  EXPECT_EQ(listed[0], "");
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(buf.at(i).component, i + 1);
+    EXPECT_EQ(listed[i + 1], names[i]);
+  }
+  ASSERT_EQ(buf.size(), names.size() + again.size());
+  for (std::size_t j = 0; j < again.size(); ++j) {
+    EXPECT_EQ(buf.at(names.size() + j).component, again[j]);
+  }
+}
+
 /// Records a small two-component scene with one multi-hop packet.
 SpanBuffer scene() {
   SpanBuffer buf;
