@@ -18,9 +18,7 @@ AdcpSwitch::AdcpSwitch(sim::Simulator& sim, const AdcpConfig& config, sim::Scope
   pc.clock_ghz = config.edge_clock_ghz;
   pc.stage = config.edge_stage;
   for (std::uint32_t i = 0; i < config.edge_pipeline_count(); ++i) {
-    pc.name = "adcp-ingress-" + std::to_string(i);
     ingress_pipes_.emplace_back(pc);
-    pc.name = "adcp-egress-" + std::to_string(i);
     egress_pipes_.emplace_back(pc);
   }
   pipeline::PipelineConfig cc;
@@ -28,7 +26,6 @@ AdcpSwitch::AdcpSwitch(sim::Simulator& sim, const AdcpConfig& config, sim::Scope
   cc.clock_ghz = config.central_clock_ghz;
   cc.stage = config.central_stage;
   for (std::uint32_t i = 0; i < config.central_pipeline_count; ++i) {
-    cc.name = "adcp-central-" + std::to_string(i);
     central_pipes_.emplace_back(cc);
   }
 

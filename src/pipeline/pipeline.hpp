@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "pipeline/stage.hpp"
@@ -29,7 +28,6 @@ namespace adcp::pipeline {
 
 /// Static shape of a pipeline.
 struct PipelineConfig {
-  std::string name = "pipe";
   std::uint32_t stage_count = 12;
   double clock_ghz = 1.25;
   StageConfig stage;

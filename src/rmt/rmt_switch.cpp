@@ -21,9 +21,7 @@ RmtSwitch::RmtSwitch(sim::Simulator& sim, const RmtConfig& config, sim::Scope sc
   pc.clock_ghz = config.clock_ghz;
   pc.stage = config.stage;
   for (std::uint32_t i = 0; i < config.pipeline_count; ++i) {
-    pc.name = "rmt-ingress-" + std::to_string(i);
     ingress_pipes_.emplace_back(pc);
-    pc.name = "rmt-egress-" + std::to_string(i);
     egress_pipes_.emplace_back(pc);
   }
   tm::TmConfig tc;
