@@ -14,7 +14,6 @@
 // 16.0x for k = 16, and k = 32 plateauing at 16.0x (or if the report
 // cannot be written).
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_report.hpp"
@@ -62,16 +61,6 @@ double keys_per_second(double clock_ghz, std::uint32_t k, std::uint32_t width) {
   return keys / seconds;
 }
 
-/// True when `value` prints as `want` under `fmt`; says so on stderr when
-/// it does not.
-bool reads(const char* what, const char* fmt, double value, const char* want) {
-  char got[32];
-  std::snprintf(got, sizeof(got), fmt, value);
-  if (std::strcmp(got, want) == 0) return true;
-  std::fprintf(stderr, "claim failed: %s reads %s, not %s\n", what, got, want);
-  return false;
-}
-
 }  // namespace
 
 int main() {
@@ -90,13 +79,13 @@ int main() {
               scalar * kPipes / 1e9, 1.0);
   report.gauge("rmt_scalar.keys_per_sec").set(scalar);
   report.gauge("rmt_scalar.switch_bops").set(scalar * kPipes / 1e9);
-  bool ok = reads("RMT scalar switch Bops/s", "%.2f", scalar * kPipes / 1e9, "6.00");
+  bool ok = bench::reads("RMT scalar switch Bops/s", "%.2f", scalar * kPipes / 1e9, "6.00");
   for (const std::uint32_t k : {2u, 4u, 8u, 16u}) {
     const double rate = keys_per_second(kClockGhz, k, 16);
     std::printf("%-26s %-8u %-18.3e %-16.2f %6.1fx\n", "ADCP 16-lane array", k, rate,
                 rate * kPipes / 1e9, rate / scalar);
-    if (k == 8) ok &= reads("16-lane speedup at k = 8", "%.1f", rate / scalar, "8.0");
-    if (k == 16) ok &= reads("16-lane speedup at k = 16", "%.1f", rate / scalar, "16.0");
+    if (k == 8) ok &= bench::reads("16-lane speedup at k = 8", "%.1f", rate / scalar, "8.0");
+    if (k == 16) ok &= bench::reads("16-lane speedup at k = 16", "%.1f", rate / scalar, "16.0");
     sim::Scope row = report.scope("adcp_k" + std::to_string(k));
     row.gauge("keys_per_sec").set(rate);
     row.gauge("switch_bops").set(rate * kPipes / 1e9);
@@ -108,7 +97,7 @@ int main() {
               over * kPipes / 1e9, over / scalar);
   report.gauge("adcp_k32_overwidth.keys_per_sec").set(over);
   report.gauge("adcp_k32_overwidth.speedup_vs_scalar").set(over / scalar);
-  ok &= reads("16-lane speedup at k = 32", "%.1f", over / scalar, "16.0");
+  ok &= bench::reads("16-lane speedup at k = 32", "%.1f", over / scalar, "16.0");
 
   std::printf(
       "\nExpected shape: scalar caps the switch at ~%.0f Bops/s; 8- and 16-key\n"

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -41,6 +42,25 @@ constexpr std::uint64_t fnv1a(std::string_view s) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// Paper-claim gate: true when `value` prints as `want` under `fmt`; says
+/// so on stderr when it does not, leaving stdout as it is.
+inline bool reads(const char* what, const char* fmt, double value, const char* want) {
+  char got[32];
+  std::snprintf(got, sizeof(got), fmt, value);
+  if (std::strcmp(got, want) == 0) return true;
+  std::fprintf(stderr, "claim failed: %s reads %s, not %s\n", what, got, want);
+  return false;
+}
+
+/// Paper-claim gate: true when `lo <= value <= hi`; says so on stderr when
+/// it does not.
+inline bool within(const char* what, double value, double lo, double hi) {
+  if (value >= lo && value <= hi) return true;
+  std::fprintf(stderr, "claim failed: %s reads %.1f, outside [%.1f, %.1f]\n", what, value, lo,
+               hi);
+  return false;
 }
 
 /// Writes an already-assembled snapshot as BENCH_<name>.json (or `path`
