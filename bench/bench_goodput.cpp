@@ -31,7 +31,7 @@ double measured_goodput(std::uint32_t k) {
   cfg.port_count = 4;
   core::AdcpSwitch sw(sim, cfg);
   core::AdcpProgram prog = core::forward_program(cfg);
-  prog.parse = packet::standard_parse_graph(64);  // accept up to 64 lanes
+  prog.shared_parse = packet::shared_standard_parse_graph<64>();  // accept up to 64 lanes
   sw.load_program(std::move(prog));
   net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
 

@@ -17,7 +17,6 @@ Chassis::Chassis(sim::Simulator& sim, const sim::Scope& scope, const char* fallb
       scope_(sim::resolve_scope(scope, own_metrics_, fallback)),
       spans_(scope_.span_recorder()),
       pool_(4096, scope_.scope("pool")),
-      in_flight_(port_count, 0),
       rx_packets_(scope_.counter("rx.packets")),
       rx_bytes_(scope_.counter("rx.bytes")),
       tx_packets_(scope_.counter("tx.packets")),
@@ -29,7 +28,8 @@ Chassis::Chassis(sim::Simulator& sim, const sim::Scope& scope, const char* fallb
       port_gbps_(port_gbps),
       fastpath_entries_(fastpath_entries),
       rx_free_(port_count, 0),
-      tx_free_(port_count, 0) {}
+      tx_free_(port_count, 0),
+      in_flight_(port_count, 0) {}
 
 void Chassis::set_multicast_group(std::uint32_t group, std::vector<packet::PortId> ports) {
   multicast_[group] = std::move(ports);
@@ -80,8 +80,46 @@ void Chassis::transmit(packet::Packet pkt) {
     last_tx_ = sim_->now();
     --in_flight_[port];
     if (tx_handler_) tx_handler_(port, std::move(pkt));
-    on_tx_done(port);
+    kick_port(port);
   });
+}
+
+void Chassis::kick(Feed& feed, std::uint32_t out) {
+  if (feed.pending[out] || port_full(feed, out) || feed.tm->output_packets(out) == 0) return;
+  feed.pending[out] = true;
+  sim_->at(sim_->now(), [this, &feed, out] { drain(feed, out); });
+}
+
+void Chassis::kick_port(packet::PortId port) {
+  // The in-flight cap is per port, so a freed slot may unblock any of the
+  // port's outputs (ADCP's m egress sub-pipes). RTC has no egress feed.
+  const std::uint32_t first = port * egress_.per_port;
+  for (std::uint32_t out = first; out < first + egress_.per_port; ++out) kick(egress_, out);
+}
+
+void Chassis::drain(Feed& feed, std::uint32_t out) {
+  feed.pending[out] = false;
+  if (port_full(feed, out)) return;
+  std::optional<packet::Packet> pkt = feed.tm->dequeue(out);
+  if (!pkt) return;  // empty, or a strict merge is holding back
+  spans_.span(sim::SpanKind::kTmQueue, pkt->meta.trace_id, pkt->meta.trace_mark, sim_->now(),
+              out);
+  const pipeline::Pipeline* pipe = start(feed, out, std::move(*pkt));
+  if (pipe == nullptr) {
+    kick(feed, out);
+    return;
+  }
+  // Keep the pipe fed: attempt the next dequeue when it can admit another
+  // PHV. The transit's exit was scheduled first, so sequence numbers
+  // follow the datapath order.
+  if (feed.tm->output_packets(out) > 0) {
+    feed.pending[out] = true;
+    sim_->at(std::max(pipe->next_free(), sim_->now()), [this, &feed, out] { drain(feed, out); });
+  }
+}
+
+bool Chassis::port_full(const Feed& feed, std::uint32_t out) const {
+  return feed.per_port != 0 && in_flight_[out / feed.per_port] >= kMaxInFlightPerPort;
 }
 
 void Chassis::drop(packet::Packet pkt, sim::DropReason reason, sim::Counter& counter) {
@@ -212,15 +250,14 @@ Chassis::FastSlot* Chassis::probe(packet::Packet& pkt) {
   return f;
 }
 
-Chassis::FastSlot* Chassis::passthrough(packet::Packet& pkt, const fastpath::StaticSite& site,
-                                        packet::PortId egress) {
+Chassis::FastSlot* Chassis::passthrough(packet::Packet& pkt, const fastpath::StaticSite& site) {
   if (!fast_ || !site.valid || pkt.meta.recirc_request) return nullptr;
   fastpath::WireView w;
   if (!fastpath::inspect(pkt, contract_.parse_max_elems, w)) return nullptr;
   FastSlot* f = fast_slots_.acquire();
   f->wire = w;
   f->patch = fastpath::Patch::kPassthrough;
-  f->egress = egress;
+  f->egress = pkt.meta.egress_port;
   f->timing = site.timing;
   f->pkt = std::move(pkt);
   return f;
@@ -228,10 +265,6 @@ Chassis::FastSlot* Chassis::passthrough(packet::Packet& pkt, const fastpath::Sta
 
 void Chassis::learn(fastpath::StaticSite& site, const pipeline::Transit& tr) {
   if (fast_ && contract_.passthrough_edges && !site.valid) site = {true, timing_of(tr)};
-}
-
-pipeline::Transit Chassis::replay(pipeline::Pipeline& pipe, const fastpath::Timing& t) {
-  return pipe.advance(sim_->now(), t.cycles, t.max_service, t.stall_cycles);
 }
 
 packet::Packet Chassis::unpark(FastSlot* f) {

@@ -6,9 +6,10 @@
 // run-to-completion processor pool. Everything around that is one switch:
 // RX and TX serialization, drop accounting, the telemetry tap, TM
 // admission, the flow fast path's probe and fill, parse/deparse and
-// multicast tables. The chassis implements net::SwitchDevice once; each
-// model derives from it and keeps only its datapath, reached through four
-// virtual hooks (on_rx, forward, fan_out, on_tx_done).
+// multicast tables, the TM drain loop and the pipeline transit. The chassis
+// implements net::SwitchDevice once; each model derives from it and keeps
+// only its datapath, reached through four virtual hooks (on_rx, forward,
+// fan_out, start).
 #pragma once
 
 #include <cstdint>
@@ -69,8 +70,8 @@ class Chassis : public net::SwitchDevice {
   /// The registry this switch (and its TMs and pool) report into.
   [[nodiscard]] sim::MetricRegistry& metrics() { return *scope_.registry(); }
   [[nodiscard]] const sim::Scope& metric_scope() const { return scope_; }
-  /// The installed parse graph / deparser. Shared (use_count > 1) when the
-  /// program came from a topo::SwitchTemplate; owned otherwise.
+  /// The installed parse graph / deparser: the process-wide standard pair
+  /// for the model's lane width unless the program set its own.
   [[nodiscard]] const std::shared_ptr<const packet::ParseGraph>& parse_graph() const {
     return parse_graph_;
   }
@@ -96,7 +97,6 @@ class Chassis : public net::SwitchDevice {
   struct TransitSlot {
     packet::ParseResult pr;
     packet::Packet pkt;
-    std::uint32_t lane = 0;   ///< RMT egress port / ADCP edge egress pipe
     fastpath::Timing timing;  ///< the verdict site's cost, for fast-path fills
   };
 
@@ -111,9 +111,14 @@ class Chassis : public net::SwitchDevice {
     fastpath::Timing timing;  ///< the memoized cost of the skipped site
   };
 
-  /// Packets allowed between egress-pipe exit and TX completion per port —
-  /// a small egress FIFO so TX back-pressures the TM realistically.
-  static constexpr std::uint32_t kMaxInFlightPerPort = 4;
+  /// One TM's outputs, each draining into a pipeline: RMT's TM and ADCP's
+  /// TM2 feed the edge egress pipes (the chassis's `egress_`), ADCP's TM1
+  /// its central pipes.
+  struct Feed {
+    std::optional<tm::TrafficManager> tm;
+    std::vector<bool> pending;   ///< per output: a drain is scheduled
+    std::uint32_t per_port = 0;  ///< output o transmits on port o / per_port; 0: no port
+  };
 
   /// `scope` names the switch in a shared registry; detached, it falls back
   /// to a private one under `fallback` (the model's own name).
@@ -128,28 +133,69 @@ class Chassis : public net::SwitchDevice {
   /// Continues a multicast verdict; by default forwards a pooled replica
   /// per port and retires the template.
   virtual void fan_out(packet::Packet pkt, const std::vector<packet::PortId>& ports);
-  /// Runs after the TX handler each time a port finishes a packet.
-  virtual void on_tx_done(packet::PortId /*port*/) {}
+  /// Starts a packet that `feed` dequeued at `out` into its pipeline (via
+  /// enter); returns the pipeline that paces the next dequeue, or nullptr
+  /// when the packet was a parse drop. A model without a feed never drains.
+  virtual const pipeline::Pipeline* start(Feed& /*feed*/, std::uint32_t /*out*/,
+                                          packet::Packet /*pkt*/) {
+    return nullptr;
+  }
 
-  /// Installs a program's parse graph and deparser (sharing a template's
-  /// when set) and re-arms the fast path from scratch: load_program may run
-  /// again over a programmed switch (ControlPlane::attach does), and any
-  /// memoized verdict belongs to the replaced program.
+  /// Installs a program's parse graph and deparser and re-arms the fast
+  /// path from scratch: load_program may run again over a programmed switch
+  /// (ControlPlane::attach does), and any memoized verdict belongs to the
+  /// replaced program.
   template <typename Program>
   void install(Program& program) {
-    parse_graph_ = program.shared_parse
-                       ? std::move(program.shared_parse)
-                       : std::make_shared<const packet::ParseGraph>(std::move(program.parse));
+    parse_graph_ = std::move(program.shared_parse);
     parser_.emplace(parse_graph_.get());
-    deparser_ = program.shared_deparse
-                    ? std::move(program.shared_deparse)
-                    : std::make_shared<const packet::Deparser>(std::move(program.deparse));
+    deparser_ = std::move(program.shared_deparse);
     arm_fastpath(std::move(program.fastpath));
   }
 
-  /// TX serialization onto pkt.meta.egress_port, then the TX handler and
-  /// on_tx_done. The packet holds an in-flight slot until its last bit is
-  /// out.
+  /// Schedules a drain of `feed`'s output `out` now, unless one is pending,
+  /// the output is empty, or its port already holds kMaxInFlightPerPort
+  /// packets. Every zero-delay wake of the RMT and ADCP datapaths is here.
+  void kick(Feed& feed, std::uint32_t out);
+  /// Kicks every egress output that transmits on `port`.
+  void kick_port(packet::PortId port);
+
+  /// Runs `pkt` through `pipe` from now() under one `kind` span (args a0,
+  /// a1). `edge` is the edge pipe's static passthrough site, or null at the
+  /// model's verdict site. A fast-path hit replays the memoized timing and
+  /// calls `hit(pkt)` at the exit. Otherwise the packet is parsed,
+  /// `prep(phv, pkt)` writes the program's inputs, the pipeline runs, its
+  /// timing is memoized, and `miss(slot)` runs at the exit. Returns false
+  /// when the parse graph dropped the packet.
+  template <typename Prep, typename Hit, typename Miss>
+  bool enter(pipeline::Pipeline& pipe, fastpath::StaticSite* edge, sim::SpanKind kind,
+             std::uint64_t a0, std::uint64_t a1, packet::Packet pkt, Prep prep, Hit hit,
+             Miss miss) {
+    if (FastSlot* f = edge != nullptr ? passthrough(pkt, *edge) : probe(pkt)) {
+      const fastpath::Timing& m = f->timing;
+      const pipeline::Transit tr =
+          pipe.advance(sim_->now(), m.cycles, m.max_service, m.stall_cycles);
+      spans_.span(kind, f->pkt.meta.trace_id, sim_->now(), tr.exit, a0, a1);
+      sim_->at(tr.exit, [this, f, hit] { hit(unpark(f)); });
+      return true;
+    }
+    TransitSlot* t = parse(std::move(pkt));
+    if (t == nullptr) return false;
+    prep(t->pr.phv, t->pkt);
+    const pipeline::Transit tr = pipe.process(sim_->now(), t->pr.phv);
+    if (edge != nullptr) {
+      learn(*edge, tr);
+    } else {
+      t->timing = timing_of(tr);
+    }
+    spans_.span(kind, t->pkt.meta.trace_id, sim_->now(), tr.exit, a0, a1);
+    sim_->at(tr.exit, [t, miss] { miss(t); });
+    return true;
+  }
+
+  /// TX serialization onto pkt.meta.egress_port, then the TX handler, then
+  /// a kick of the port's egress outputs. The packet holds an in-flight
+  /// slot until its last bit is out.
   void transmit(packet::Packet pkt);
   /// Counts, traces, reports to the tap and retires a dropped packet, in
   /// that order: the tap may inject a postcard synchronously, which takes
@@ -184,15 +230,6 @@ class Chassis : public net::SwitchDevice {
   /// store-dependent behavior runs live, at the same event the slow path
   /// would run it (ctrl.* counters stay identical cache-on/off).
   FastSlot* probe(packet::Packet& pkt);
-  /// Parks the packet for a static passthrough `site` bound for `egress`
-  /// (contract.passthrough_edges), or yields nullptr.
-  FastSlot* passthrough(packet::Packet& pkt, const fastpath::StaticSite& site,
-                        packet::PortId egress);
-  /// Edge stages carry no program under the passthrough contract: the
-  /// first measured transit is the timing template for every later packet.
-  void learn(fastpath::StaticSite& site, const pipeline::Transit& tr);
-  /// Replays a memoized transit through `pipe` (occupancy and latency).
-  pipeline::Transit replay(pipeline::Pipeline& pipe, const fastpath::Timing& t);
   /// Copy-and-patch of a parked packet onto its verdict; releases the slot.
   packet::Packet unpark(FastSlot* f);
 
@@ -207,9 +244,23 @@ class Chassis : public net::SwitchDevice {
   fastpath::StaticSite ingress_site_;  ///< measured edge passthroughs
   fastpath::StaticSite egress_site_;
   telem::TelemetryTap* tap_ = nullptr;  ///< not owned; null = disarmed
-  std::vector<std::uint32_t> in_flight_;  ///< per port: pipe exit -> TX done
+  Feed egress_;  ///< the TM that feeds the edge egress pipes (none on RTC)
 
  private:
+  /// Packets allowed between egress-pipe exit and TX completion per port —
+  /// a small egress FIFO so TX back-pressures the TM realistically.
+  static constexpr std::uint32_t kMaxInFlightPerPort = 4;
+
+  /// One drain of `feed`'s output `out`: dequeues, starts the packet, and
+  /// reschedules while the output holds packets (see kick).
+  void drain(Feed& feed, std::uint32_t out);
+  [[nodiscard]] bool port_full(const Feed& feed, std::uint32_t out) const;
+  /// Parks the packet for a static passthrough `site` bound for
+  /// pkt.meta.egress_port (contract.passthrough_edges), or yields nullptr.
+  FastSlot* passthrough(packet::Packet& pkt, const fastpath::StaticSite& site);
+  /// Edge stages carry no program under the passthrough contract: the
+  /// first measured transit is the timing template for every later packet.
+  void learn(fastpath::StaticSite& site, const pipeline::Transit& tr);
   void arm_fastpath(fastpath::FastpathContract contract);
   [[nodiscard]] bool is_query(const fastpath::WireView& w) const;
   void fill(const TransitSlot* t, packet::PortId egress);
@@ -233,8 +284,9 @@ class Chassis : public net::SwitchDevice {
   std::uint32_t fastpath_entries_;
   net::TxHandler tx_handler_;
   std::unordered_map<std::uint32_t, std::vector<packet::PortId>> multicast_;
-  std::vector<sim::Time> rx_free_;  ///< per port
-  std::vector<sim::Time> tx_free_;  ///< per port
+  std::vector<sim::Time> rx_free_;        ///< per port
+  std::vector<sim::Time> tx_free_;        ///< per port
+  std::vector<std::uint32_t> in_flight_;  ///< per port: pipe exit -> TX done
   sim::Time first_tx_ = 0;
   sim::Time last_tx_ = 0;
 };

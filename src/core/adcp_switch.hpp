@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "chassis/chassis.hpp"
@@ -40,12 +39,12 @@ class AdcpSwitch final : public chassis::Chassis {
 
   /// Re-attempts draining central pipeline `cp` — call after unblocking a
   /// strict MergeScheduler (e.g. via mark_flow_done).
-  void kick_central(std::uint32_t cp) { try_drain_central(cp); }
+  void kick_central(std::uint32_t cp) { kick(central_, cp); }
 
   [[nodiscard]] const AdcpConfig& config() const { return config_; }
   [[nodiscard]] AdcpStats stats() const { return switch_stats(); }
-  tm::TrafficManager& tm1() { return *tm1_; }
-  tm::TrafficManager& tm2() { return *tm2_; }
+  tm::TrafficManager& tm1() { return *central_.tm; }
+  tm::TrafficManager& tm2() { return *egress_.tm; }
   pipeline::Pipeline& central_pipe(std::uint32_t i) { return central_pipes_.at(i); }
   pipeline::Pipeline& ingress_pipe(std::uint32_t i) { return ingress_pipes_.at(i); }
   [[nodiscard]] std::uint64_t central_packets(std::uint32_t i) const {
@@ -58,16 +57,11 @@ class AdcpSwitch final : public chassis::Chassis {
   void after_ingress(TransitSlot* t);
   /// TM1 admission of a packet leaving the edge ingress pipeline.
   void enqueue_central(packet::Packet pkt);
-  void try_drain_central(std::uint32_t cp);
-  void drain_central(std::uint32_t cp);
   /// TM2 admission onto one of pkt.meta.egress_port's edge egress pipes.
   void forward(packet::Packet pkt) override;
-  void on_tx_done(packet::PortId port) override { kick_port_egress(port); }
-  /// The in-flight cap is per PORT; freeing a slot may unblock any of the
-  /// port's m egress sub-pipelines.
-  void kick_port_egress(packet::PortId port);
-  void try_drain_egress(std::uint32_t edge_pipe);
-  void drain_egress(std::uint32_t edge_pipe);
+  /// TM1 output `out` feeds central pipe `out`; TM2 output `out` feeds
+  /// edge egress pipe `out`.
+  const pipeline::Pipeline* start(Feed& feed, std::uint32_t out, packet::Packet pkt) override;
   void after_egress(TransitSlot* t);
 
   AdcpConfig config_;
@@ -78,12 +72,9 @@ class AdcpSwitch final : public chassis::Chassis {
   std::vector<pipeline::Pipeline> ingress_pipes_;  // port_count * m
   std::vector<pipeline::Pipeline> central_pipes_;  // central_pipeline_count
   std::vector<pipeline::Pipeline> egress_pipes_;   // port_count * m
-  std::optional<tm::TrafficManager> tm1_;          // outputs = central pipes
-  std::optional<tm::TrafficManager> tm2_;          // outputs = egress pipes
+  Feed central_;  // TM1: outputs = central pipes (TM2 is the chassis egress_)
 
   std::vector<std::uint32_t> rr_demux_;  // per port (default demux)
-  std::vector<bool> central_pending_;    // per central pipe
-  std::vector<bool> egress_pending_;     // per edge egress pipe
 };
 
 }  // namespace adcp::core

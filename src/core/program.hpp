@@ -20,9 +20,9 @@
 
 namespace adcp::core {
 
-/// Lane width of the default ADCP parse graph (and of the adcp tier
-/// template in topo::TierProfile — keep the two in sync: fast-path
-/// admission mirrors the parser's lane-budget rejection with it).
+/// Lane width of the default ADCP parse graph: ADCP parsers extract arrays
+/// (paper §3.2). Fast-path admission mirrors the parser's lane-budget
+/// rejection with it.
 inline constexpr std::size_t kAdcpParseLanes = 16;
 
 /// Configures one pipeline's stages at install time.
@@ -36,14 +36,11 @@ using DemuxFn = std::function<std::uint32_t(const packet::Packet&)>;
 
 /// A complete ADCP data-plane program.
 struct AdcpProgram {
-  /// ADCP parsers extract arrays (paper §3.2); 16 lanes by default.
-  packet::ParseGraph parse = packet::standard_parse_graph(kAdcpParseLanes);
-  packet::Deparser deparse = packet::standard_deparser();
-  /// Template sharing (topo::SwitchTemplate): when set, these override
-  /// `parse`/`deparse` and the switch holds the shared_ptr instead of
-  /// copying — every identical switch in a fabric references one graph.
-  std::shared_ptr<const packet::ParseGraph> shared_parse;
-  std::shared_ptr<const packet::Deparser> shared_deparse;
+  /// The parse graph and deparser the switch installs. By default every
+  /// ADCP switch shares the process-wide standard pair.
+  std::shared_ptr<const packet::ParseGraph> shared_parse =
+      packet::shared_standard_parse_graph<kAdcpParseLanes>();
+  std::shared_ptr<const packet::Deparser> shared_deparse = packet::shared_standard_deparser();
 
   PipelineSetup setup_ingress;  ///< edge ingress pipelines
   PipelineSetup setup_central;  ///< the global partitioned area

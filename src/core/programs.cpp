@@ -6,6 +6,7 @@
 
 #include "packet/fields.hpp"
 #include "packet/headers.hpp"
+#include "sim/random.hpp"
 
 namespace adcp::core {
 
@@ -318,7 +319,7 @@ AdcpProgram sequencer_program(const AdcpConfig& config, const SequencerOptions& 
     if (packet::decode_inc(pkt, inc) && inc.opcode == packet::IncOpcode::kPropose) {
       return 0u;
     }
-    return static_cast<std::uint32_t>(tm::placement::mix(pkt.meta.flow_id));
+    return static_cast<std::uint32_t>(sim::mix64(pkt.meta.flow_id));
   };
 
   prog.setup_central = [ports, opts](pipeline::Pipeline& pipe, std::uint32_t index) {
@@ -357,12 +358,12 @@ AdcpProgram combined_inc_program(const AdcpConfig& config, const CombinedOptions
   prog.placement = [pipes, kv_space, shuffle_space](const packet::Packet& pkt) {
     packet::IncHeader inc;
     if (!packet::decode_inc(pkt, inc)) {
-      return static_cast<std::uint32_t>(tm::placement::mix(pkt.meta.flow_id) % pipes);
+      return static_cast<std::uint32_t>(sim::mix64(pkt.meta.flow_id) % pipes);
     }
     const std::uint64_t key = inc.elements.empty() ? 0 : inc.elements.front().key;
     switch (inc.opcode) {
       case packet::IncOpcode::kAggUpdate:
-        return static_cast<std::uint32_t>(tm::placement::mix(key) % pipes);
+        return static_cast<std::uint32_t>(sim::mix64(key) % pipes);
       case packet::IncOpcode::kShuffle:
         return static_cast<std::uint32_t>(
             std::min<std::uint64_t>(key, shuffle_space - 1) * pipes / shuffle_space);
@@ -372,11 +373,11 @@ AdcpProgram combined_inc_program(const AdcpConfig& config, const CombinedOptions
             std::min<std::uint64_t>(key, kv_space - 1) * pipes / kv_space);
       case packet::IncOpcode::kLockAcquire:
       case packet::IncOpcode::kLockRelease:
-        return static_cast<std::uint32_t>(tm::placement::mix(key) % pipes);
+        return static_cast<std::uint32_t>(sim::mix64(key) % pipes);
       case packet::IncOpcode::kGroupXfer:
-        return static_cast<std::uint32_t>(tm::placement::mix(inc.coflow_id) % pipes);
+        return static_cast<std::uint32_t>(sim::mix64(inc.coflow_id) % pipes);
       default:
-        return static_cast<std::uint32_t>(tm::placement::mix(pkt.meta.flow_id) % pipes);
+        return static_cast<std::uint32_t>(sim::mix64(pkt.meta.flow_id) % pipes);
     }
   };
 

@@ -19,8 +19,6 @@ void ControlPlane::attach(std::size_t i) {
   assert(!stores_.contains(i) && "switch already attached");
   const topo::SwitchKind kind = net_->kind_of(i);
   net::SwitchDevice& device = net_->device(i);
-  const auto tmpl = net_->template_of(kind, device.port_count());
-  assert(tmpl != nullptr && "every fabric switch is built from a template");
 
   // The store registers under the switch's own scope ("topo.sw<i>.ctrl.*"
   // — the shard registry in parallel mode), so merged snapshots carry the
@@ -34,20 +32,14 @@ void ControlPlane::attach(std::size_t i) {
       const std::size_t per_pipe = std::max<std::size_t>(
           1, config_.store_capacity / sw.config().pipeline_count);
       auto store = std::make_unique<mat::VersionedStore>(per_pipe, scope);
-      rmt::RmtProgram prog = rmt_churn_program(sw.config(), fib, store.get());
-      prog.shared_parse = tmpl->parse;
-      prog.shared_deparse = tmpl->deparse;
-      sw.load_program(std::move(prog));
+      sw.load_program(rmt_churn_program(sw.config(), fib, store.get()));
       stores_.emplace(i, std::move(store));
       break;
     }
     case topo::SwitchKind::kAdcp: {
       auto& sw = static_cast<core::AdcpSwitch&>(device);
       auto store = std::make_unique<mat::VersionedStore>(config_.store_capacity, scope);
-      core::AdcpProgram prog = adcp_churn_program(sw.config(), fib, store.get());
-      prog.shared_parse = tmpl->parse;
-      prog.shared_deparse = tmpl->deparse;
-      sw.load_program(std::move(prog));
+      sw.load_program(adcp_churn_program(sw.config(), fib, store.get()));
       stores_.emplace(i, std::move(store));
       break;
     }

@@ -67,7 +67,7 @@ rmt::RmtProgram rmt_churn_program(const rmt::RmtConfig& /*config*/,
       return run_churn(phv, *fib, *store);
     });
   };
-  prog.fastpath = churn_contract(fib, store, 0);
+  prog.fastpath = churn_contract(fib, store, rmt::kRmtParseLanes);
   return prog;
 }
 

@@ -2,18 +2,9 @@
 
 #include <bit>
 
+#include "sim/random.hpp"
+
 namespace adcp::fastpath {
-namespace {
-
-// splitmix64 finalizer — cheap, well mixed, dependency-free.
-constexpr std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 bool inspect(const packet::Packet& pkt, std::size_t parse_max_elems,
              WireView& out) {
@@ -114,12 +105,12 @@ std::uint64_t FlowCache::signature(const WireView& w,
                                    packet::PortId ingress_port, bool query) {
   std::uint64_t x =
       (static_cast<std::uint64_t>(w.ip_src) << 32) | w.ip_dst;
-  x = mix(x);
+  x = sim::mix64(x);
   x ^= (static_cast<std::uint64_t>(w.udp_src) << 48) |
        (static_cast<std::uint64_t>(w.udp_dst) << 32) |
        (static_cast<std::uint64_t>(ingress_port) << 1) |
        (query ? 1ULL : 0ULL);
-  return mix(x);
+  return sim::mix64(x);
 }
 
 packet::Packet copy_patch(packet::Pool& pool, packet::Packet original,

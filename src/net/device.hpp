@@ -37,9 +37,9 @@ using TxHandler = std::function<void(packet::PortId port, packet::Packet pkt)>;
 ///    (pipeline::Pipeline, mat::RegisterFile), so building a fabric of
 ///    thousands of switches costs what the workload touches, not what the
 ///    configs declare.
-///  * `load_program()` must run before traffic. Fabric builders pass
-///    shared parse/deparse templates (topo::SwitchTemplate) so identical
-///    switches share one immutable graph.
+///  * `load_program()` must run before traffic. Programs default to one
+///    process-wide parse graph / deparser per model, so identical switches
+///    share one immutable graph.
 class SwitchDevice {
  public:
   virtual ~SwitchDevice() = default;

@@ -103,4 +103,9 @@ Deparser standard_deparser() {
   return Deparser{std::move(ops)};
 }
 
+const std::shared_ptr<const Deparser>& shared_standard_deparser() {
+  static const auto deparser = std::make_shared<const Deparser>(standard_deparser());
+  return deparser;
+}
+
 }  // namespace adcp::packet

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <variant>
 #include <vector>
 
@@ -72,5 +73,7 @@ std::vector<EmitOp> inc_header_emits();
 /// key/value arrays. The element area follows the array size; length fields
 /// are emitted as the PHV carries them.
 Deparser standard_deparser();
+/// The process-wide, immutable standard_deparser().
+const std::shared_ptr<const Deparser>& shared_standard_deparser();
 
 }  // namespace adcp::packet

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -135,5 +136,13 @@ class Parser {
 /// parsing, modeling a scalar-only RMT parser that accepts at the INC
 /// fixed header and leaves elements in the payload).
 ParseGraph standard_parse_graph(std::size_t max_elems = 64);
+
+/// The process-wide, immutable standard_parse_graph(Lanes): built once and
+/// shared by every program that keeps its model's default graph.
+template <std::size_t Lanes>
+const std::shared_ptr<const ParseGraph>& shared_standard_parse_graph() {
+  static const auto graph = std::make_shared<const ParseGraph>(standard_parse_graph(Lanes));
+  return graph;
+}
 
 }  // namespace adcp::packet

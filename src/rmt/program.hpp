@@ -17,21 +17,22 @@
 
 namespace adcp::rmt {
 
+/// Lane width of the default RMT parse graph: RMT parsers deliver scalars
+/// only, so the standard graph leaves INC elements in the payload (the
+/// paper's scalar restriction).
+inline constexpr std::size_t kRmtParseLanes = 0;
+
 /// Configures one pipeline's stages at install time. `index` is the
 /// pipeline number; programs can give different pipelines different tables.
 using PipelineSetup = std::function<void(pipeline::Pipeline& pipe, std::uint32_t index)>;
 
 /// A complete RMT data-plane program.
 struct RmtProgram {
-  /// RMT parsers deliver scalars only; standard_parse_graph(0) leaves INC
-  /// elements in the payload (the paper's scalar restriction).
-  packet::ParseGraph parse = packet::standard_parse_graph(0);
-  packet::Deparser deparse = packet::standard_deparser();
-  /// Template sharing (topo::SwitchTemplate): when set, these override
-  /// `parse`/`deparse` and the switch holds the shared_ptr instead of
-  /// copying — every identical switch in a fabric references one graph.
-  std::shared_ptr<const packet::ParseGraph> shared_parse;
-  std::shared_ptr<const packet::Deparser> shared_deparse;
+  /// The parse graph and deparser the switch installs. By default every
+  /// RMT switch shares the process-wide standard pair.
+  std::shared_ptr<const packet::ParseGraph> shared_parse =
+      packet::shared_standard_parse_graph<kRmtParseLanes>();
+  std::shared_ptr<const packet::Deparser> shared_deparse = packet::shared_standard_deparser();
   PipelineSetup setup_ingress;  ///< optional; default leaves stages empty
   PipelineSetup setup_egress;   ///< optional
   /// What this program vouches for the datapath fast path (DESIGN.md §13).

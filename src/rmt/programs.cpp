@@ -1,6 +1,7 @@
 #include "rmt/programs.hpp"
 
 #include <cassert>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,8 +107,10 @@ packet::Deparser scalar_unrolled_deparser(std::size_t elems) {
 RmtProgram scalar_aggregation_program(const RmtConfig& config, const RmtAggOptions& opts) {
   assert(opts.report && "RmtAggOptions::report must be provided");
   RmtProgram prog;
-  prog.parse = scalar_unrolled_parse_graph(opts.elems_per_packet);
-  prog.deparse = scalar_unrolled_deparser(opts.elems_per_packet);
+  prog.shared_parse = std::make_shared<const packet::ParseGraph>(
+      scalar_unrolled_parse_graph(opts.elems_per_packet));
+  prog.shared_deparse =
+      std::make_shared<const packet::Deparser>(scalar_unrolled_deparser(opts.elems_per_packet));
 
   const std::uint32_t ports = config.port_count;
   const std::uint32_t agg_pipe = config.pipeline_of_port(opts.agg_port);

@@ -30,11 +30,12 @@ RmtSwitch::RmtSwitch(sim::Simulator& sim, const RmtConfig& config, sim::Scope sc
   tc.alpha = config.tm_alpha;
   tc.ecn_threshold_bytes = config.ecn_threshold_bytes;
   tc.track_watermark = config.tm_track_watermark;
-  tm_.emplace(std::move(tc), scope_.scope("tm"));
-  tm_->set_pool(&pool_);
+  egress_.tm.emplace(std::move(tc), scope_.scope("tm"));
+  egress_.tm->set_pool(&pool_);
+  egress_.pending.assign(config.port_count, false);
+  egress_.per_port = 1;
 
   recirc_free_.assign(config.pipeline_count, 0);
-  drain_pending_.assign(config.port_count, false);
 }
 
 void RmtSwitch::load_program(RmtProgram program) {
@@ -46,23 +47,15 @@ void RmtSwitch::load_program(RmtProgram program) {
 }
 
 void RmtSwitch::on_rx(packet::Packet pkt) {
-  const std::uint32_t pipe = config_.pipeline_of_port(pkt.meta.ingress_port);
-  pipeline::Pipeline& ingress = ingress_pipes_[pipe];
-  if (FastSlot* f = probe(pkt)) {
-    const pipeline::Transit tr = replay(ingress, f->timing);
-    spans_.span(sim::SpanKind::kIngress, f->pkt.meta.trace_id, sim_->now(), tr.exit, pipe,
-                f->pkt.meta.ingress_port);
-    sim_->at(tr.exit, [this, f] { forward(unpark(f)); });
-    return;
-  }
-  TransitSlot* t = parse(std::move(pkt));
-  if (t == nullptr) return;
-  t->pr.phv.set(packet::fields::kMetaRecircPass, t->pkt.meta.recirculations);
-  const pipeline::Transit tr = ingress.process(sim_->now(), t->pr.phv);
-  spans_.span(sim::SpanKind::kIngress, t->pkt.meta.trace_id, sim_->now(), tr.exit, pipe,
-              t->pkt.meta.ingress_port);
-  t->timing = chassis::timing_of(tr);
-  sim_->at(tr.exit, [this, t] { after_ingress(t); });
+  const packet::PortId port = pkt.meta.ingress_port;
+  const std::uint32_t pipe = config_.pipeline_of_port(port);
+  enter(
+      ingress_pipes_[pipe], nullptr, sim::SpanKind::kIngress, pipe, port, std::move(pkt),
+      [](packet::Phv& phv, const packet::Packet& p) {
+        phv.set(packet::fields::kMetaRecircPass, p.meta.recirculations);
+      },
+      [this](packet::Packet p) { forward(std::move(p)); },
+      [this](TransitSlot* t) { after_ingress(t); });
 }
 
 void RmtSwitch::after_ingress(TransitSlot* t) {
@@ -77,69 +70,39 @@ void RmtSwitch::after_ingress(TransitSlot* t) {
 
 void RmtSwitch::forward(packet::Packet pkt) {
   const packet::PortId egress = pkt.meta.egress_port;
-  admit(*tm_, egress, std::move(pkt));
-  try_drain(egress);
+  admit(*egress_.tm, egress, std::move(pkt));
+  kick(egress_, egress);
 }
 
 void RmtSwitch::fan_out(packet::Packet pkt, const std::vector<packet::PortId>& ports) {
   // Each replica passes TM admission on its own, so a refused replica is a
   // traced admission drop the tap sees, exactly like a refused unicast.
   for (const packet::PortId p : ports) {
-    if (admit(*tm_, p, replica(pkt, p))) tm_->count_multicast_copy();
+    if (admit(*egress_.tm, p, replica(pkt, p))) egress_.tm->count_multicast_copy();
   }
   pool_.release(std::move(pkt));  // replicas were copies; retire the template
-  for (const packet::PortId p : ports) try_drain(p);
+  for (const packet::PortId p : ports) kick(egress_, p);
 }
 
-void RmtSwitch::try_drain(packet::PortId port) {
-  if (drain_pending_[port]) return;
-  if (in_flight_[port] >= kMaxInFlightPerPort) return;
-  if (tm_->output_packets(port) == 0) return;
-  drain_pending_[port] = true;
-  sim_->at(sim_->now(), [this, port] { drain(port); });
-}
-
-void RmtSwitch::drain(packet::PortId port) {
-  drain_pending_[port] = false;
-  if (in_flight_[port] >= kMaxInFlightPerPort) return;
-  std::optional<packet::Packet> pkt = tm_->dequeue(port);
-  if (!pkt) return;
-  spans_.span(sim::SpanKind::kTmQueue, pkt->meta.trace_id, pkt->meta.trace_mark,
-              sim_->now(), port);
-
+const pipeline::Pipeline* RmtSwitch::start(Feed& /*feed*/, std::uint32_t port,
+                                           packet::Packet pkt) {
   const std::uint32_t pipe = config_.pipeline_of_port(port);
   pipeline::Pipeline& egress = egress_pipes_[pipe];
-  if (FastSlot* f = passthrough(*pkt, egress_site_, port)) {
-    const pipeline::Transit tr = replay(egress, f->timing);
-    spans_.span(sim::SpanKind::kEgress, f->pkt.meta.trace_id, sim_->now(), tr.exit, pipe,
-                port);
-    sim_->at(tr.exit, [this, f] { transmit(unpark(f)); });
-  } else if (TransitSlot* t = parse(std::move(*pkt))) {
-    t->pr.phv.set(packet::fields::kMetaEgressPort, port);
-    t->pr.phv.set(packet::fields::kMetaRecircPass, t->pkt.meta.recirculations);
-    const pipeline::Transit tr = egress.process(sim_->now(), t->pr.phv);
-    learn(egress_site_, tr);
-    spans_.span(sim::SpanKind::kEgress, t->pkt.meta.trace_id, sim_->now(), tr.exit, pipe,
-                port);
-    t->lane = port;
-    sim_->at(tr.exit, [this, t] { after_egress(t); });
-  } else {
-    try_drain(port);
-    return;
-  }
-
-  // Keep the egress pipe fed: attempt the next dequeue when it can admit
-  // another PHV.
-  if (tm_->output_packets(port) > 0) {
-    drain_pending_[port] = true;
-    sim_->at(std::max(egress.next_free(), sim_->now()), [this, port] { drain(port); });
-  }
+  const bool started = enter(
+      egress, &egress_site_, sim::SpanKind::kEgress, pipe, port, std::move(pkt),
+      [port](packet::Phv& phv, const packet::Packet& p) {
+        phv.set(packet::fields::kMetaEgressPort, port);
+        phv.set(packet::fields::kMetaRecircPass, p.meta.recirculations);
+      },
+      [this](packet::Packet p) { transmit(std::move(p)); },
+      [this](TransitSlot* t) { after_egress(t); });
+  return started ? &egress : nullptr;
 }
 
 void RmtSwitch::after_egress(TransitSlot* t) {
-  const auto port = static_cast<packet::PortId>(t->lane);
+  const packet::PortId port = t->pkt.meta.egress_port;
   if (program_dropped(t)) {
-    try_drain(port);
+    kick(egress_, port);
     return;
   }
   const bool recirc = t->pkt.meta.recirc_request ||
@@ -147,10 +110,9 @@ void RmtSwitch::after_egress(TransitSlot* t) {
   packet::Packet out = finalize(t);
   if (recirc) {
     recirculate(std::move(out), config_.pipeline_of_port(port));
-    try_drain(port);
+    kick(egress_, port);
     return;
   }
-  out.meta.egress_port = port;
   transmit(std::move(out));
 }
 

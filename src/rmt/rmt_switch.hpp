@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "chassis/chassis.hpp"
@@ -46,7 +45,7 @@ class RmtSwitch final : public chassis::Chassis {
     return RmtStats{switch_stats(), recirculations_.value(), recirc_bytes_.value(),
                     recirc_limit_drops_.value()};
   }
-  [[nodiscard]] const tm::TrafficManager& traffic_manager() const { return *tm_; }
+  [[nodiscard]] const tm::TrafficManager& traffic_manager() const { return *egress_.tm; }
   pipeline::Pipeline& ingress_pipe(std::uint32_t i) { return ingress_pipes_.at(i); }
 
  private:
@@ -56,11 +55,10 @@ class RmtSwitch final : public chassis::Chassis {
   /// TM admission at pkt.meta.egress_port.
   void forward(packet::Packet pkt) override;
   void fan_out(packet::Packet pkt, const std::vector<packet::PortId>& ports) override;
-  void try_drain(packet::PortId port);
-  void drain(packet::PortId port);
+  /// The egress pipe of the port's group, fed by the TM's queue for `port`.
+  const pipeline::Pipeline* start(Feed& feed, std::uint32_t port, packet::Packet pkt) override;
   void after_egress(TransitSlot* t);
   void recirculate(packet::Packet pkt, std::uint32_t pipe);
-  void on_tx_done(packet::PortId port) override { try_drain(port); }
 
   RmtConfig config_;
   sim::Counter& recirc_limit_drops_;
@@ -68,10 +66,7 @@ class RmtSwitch final : public chassis::Chassis {
   sim::Counter& recirc_bytes_;
   std::vector<pipeline::Pipeline> ingress_pipes_;
   std::vector<pipeline::Pipeline> egress_pipes_;
-  std::optional<tm::TrafficManager> tm_;
-
   std::vector<sim::Time> recirc_free_;  // per pipeline
-  std::vector<bool> drain_pending_;     // per port
 };
 
 }  // namespace adcp::rmt

@@ -21,9 +21,8 @@
 
 namespace adcp::rtc {
 
-/// Lane width of the default RTC parse graph (and of the rtc tier template
-/// in topo::TierProfile — keep the two in sync: fast-path admission
-/// mirrors the parser's lane-budget rejection with it).
+/// Lane width of the default RTC parse graph: RTC is unconstrained. Fast-path
+/// admission mirrors the parser's lane-budget rejection with it.
 inline constexpr std::size_t kRtcParseLanes = 64;
 
 /// The memory every processor shares — registers for stateful programs and
@@ -44,13 +43,11 @@ using RtcProgramFn =
 
 /// A complete RTC program.
 struct RtcProgram {
-  packet::ParseGraph parse = packet::standard_parse_graph(kRtcParseLanes);
-  packet::Deparser deparse = packet::standard_deparser();
-  /// Template sharing (topo::SwitchTemplate): when set, these override
-  /// `parse`/`deparse` and the switch holds the shared_ptr instead of
-  /// copying — every identical switch in a fabric references one graph.
-  std::shared_ptr<const packet::ParseGraph> shared_parse;
-  std::shared_ptr<const packet::Deparser> shared_deparse;
+  /// The parse graph and deparser the switch installs. By default every
+  /// RTC switch shares the process-wide standard pair.
+  std::shared_ptr<const packet::ParseGraph> shared_parse =
+      packet::shared_standard_parse_graph<kRtcParseLanes>();
+  std::shared_ptr<const packet::Deparser> shared_deparse = packet::shared_standard_deparser();
   RtcProgramFn run;  ///< REQUIRED
   /// What this program vouches for the flow fast path (DESIGN.md §13).
   /// Provide it only when `run`'s verdict AND cycle cost are functions of

@@ -12,6 +12,16 @@
 
 namespace adcp::sim {
 
+/// splitmix64 finalizer: cheap, well mixed, dependency-free. Every hash in
+/// the simulator (TM placement, ECMP, flow signatures, sketches, trace
+/// sampling, per-component seeds) is this one function.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e37'79b9'7f4a'7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Seedable random source with the distributions the workloads need.
 class Rng {
  public:

@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace adcp::sim {
@@ -105,23 +106,18 @@ class TraceSampler {
   [[nodiscard]] bool sampled(std::uint64_t flow_id) const {
     if (every_ == 0) return false;
     if (every_ == 1) return true;
-    return mix(flow_id ^ seed_) % every_ == 0;
+    return mix64(flow_id ^ seed_) % every_ == 0;
   }
 
   /// Per-packet trace id for a sampled flow. Never zero (zero means
   /// "unsampled" in packet metadata), distinct per (flow, seq) with
   /// overwhelming probability, and stable across reruns.
   [[nodiscard]] std::uint64_t trace_id(std::uint64_t flow_id, std::uint64_t seq) const {
-    return mix(mix(flow_id ^ seed_) + 0x9e37'79b9'7f4a'7c15ULL * (seq + 1)) | 1ULL;
+    return mix64(mix64(flow_id ^ seed_) + 0x9e37'79b9'7f4a'7c15ULL * (seq + 1)) | 1ULL;
   }
 
-  /// splitmix64 finalizer: cheap, well-mixed, dependency-free.
-  [[nodiscard]] static std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e37'79b9'7f4a'7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
-    return x ^ (x >> 31);
-  }
+  /// The same finalizer as sim::mix64 (perfbench hashes through this name).
+  [[nodiscard]] static std::uint64_t mix(std::uint64_t x) { return mix64(x); }
 
  private:
   std::uint32_t every_ = 0;

@@ -56,7 +56,7 @@ bool HeavyHitterSketch::update(std::uint64_t key, std::uint64_t seq) {
     ++updates_;
     return false;
   }
-  if (sim::TraceSampler::mix(key ^ (seq << 20) ^ config_.seed) % (p.min_count + 1) != 0) {
+  if (sim::mix64(key ^ (seq << 20) ^ config_.seed) % (p.min_count + 1) != 0) {
     ++updates_;
     return false;
   }

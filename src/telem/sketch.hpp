@@ -21,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/span.hpp"  // TraceSampler::mix
+#include "sim/random.hpp"  // mix64
 
 namespace adcp::telem {
 
@@ -51,7 +51,7 @@ class HeavyHitterSketch {
   [[nodiscard]] bool should_claim(std::uint64_t key, std::uint64_t seq) const {
     const Probe p = probe(key);
     if (p.owner) return false;
-    return sim::TraceSampler::mix(key ^ (seq << 20) ^ config_.seed) % (p.min_count + 1) == 0;
+    return sim::mix64(key ^ (seq << 20) ^ config_.seed) % (p.min_count + 1) == 0;
   }
 
   /// Takes over the min-count candidate slot: entry becomes (key, min+1).
@@ -72,7 +72,7 @@ class HeavyHitterSketch {
  private:
   [[nodiscard]] std::uint32_t slot_of(std::uint64_t key, std::uint32_t way) const {
     return static_cast<std::uint32_t>(
-        sim::TraceSampler::mix(key ^ (config_.seed + way * 0x9e37'79b9ULL)) % config_.slots);
+        sim::mix64(key ^ (config_.seed + way * 0x9e37'79b9ULL)) % config_.slots);
   }
 
   SketchConfig config_;

@@ -14,6 +14,7 @@
 
 #include "packet/headers.hpp"
 #include "packet/packet.hpp"
+#include "sim/random.hpp"
 
 namespace adcp::tm {
 
@@ -22,25 +23,17 @@ using PlacementFn = std::function<std::uint32_t(const packet::Packet&)>;
 
 namespace placement {
 
-/// 64-bit mix (splitmix64 finalizer) — good spread for sequential ids.
-constexpr std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Hash of the coflow id: all packets of a coflow meet in one pipeline.
 inline PlacementFn by_coflow_hash(std::uint32_t n) {
   return [n](const packet::Packet& pkt) {
-    return static_cast<std::uint32_t>(mix(pkt.meta.coflow_id) % n);
+    return static_cast<std::uint32_t>(sim::mix64(pkt.meta.coflow_id) % n);
   };
 }
 
 /// Hash of the flow id: flows spread independently.
 inline PlacementFn by_flow_hash(std::uint32_t n) {
   return [n](const packet::Packet& pkt) {
-    return static_cast<std::uint32_t>(mix(pkt.meta.flow_id) % n);
+    return static_cast<std::uint32_t>(sim::mix64(pkt.meta.flow_id) % n);
   };
 }
 
@@ -50,7 +43,7 @@ inline PlacementFn by_key_hash(std::uint32_t n) {
   return [n](const packet::Packet& pkt) -> std::uint32_t {
     packet::IncHeader inc;
     if (!packet::decode_inc(pkt, inc) || inc.elements.empty()) return 0;
-    return static_cast<std::uint32_t>(mix(inc.elements.front().key) % n);
+    return static_cast<std::uint32_t>(sim::mix64(inc.elements.front().key) % n);
   };
 }
 

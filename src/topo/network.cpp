@@ -24,10 +24,9 @@ double wall_ms() {
       .count();
 }
 
-/// Instantiates one switch from its tier template; the routing program
-/// installs the template's parse graph / deparser by shared_ptr. A
-/// non-null `sketch` arms the PRECISION heavy-hitter program alongside
-/// routing (telemetry.sketch).
+/// Instantiates one switch from its tier template. A non-null `sketch`
+/// arms the PRECISION heavy-hitter program alongside routing
+/// (telemetry.sketch).
 std::unique_ptr<chassis::Chassis> make_switch(sim::Simulator& sim, const SwitchTemplate& tmpl,
                                               std::shared_ptr<const ForwardingTable> fib,
                                               sim::Scope scope,
@@ -35,26 +34,17 @@ std::unique_ptr<chassis::Chassis> make_switch(sim::Simulator& sim, const SwitchT
   switch (tmpl.kind) {
     case SwitchKind::kRmt: {
       auto sw = std::make_unique<rmt::RmtSwitch>(sim, tmpl.rmt, std::move(scope));
-      rmt::RmtProgram prog = rmt_routing_program(tmpl.rmt, std::move(fib), sketch);
-      prog.shared_parse = tmpl.parse;
-      prog.shared_deparse = tmpl.deparse;
-      sw->load_program(std::move(prog));
+      sw->load_program(rmt_routing_program(tmpl.rmt, std::move(fib), sketch));
       return sw;
     }
     case SwitchKind::kAdcp: {
       auto sw = std::make_unique<core::AdcpSwitch>(sim, tmpl.adcp, std::move(scope));
-      core::AdcpProgram prog = adcp_routing_program(tmpl.adcp, std::move(fib), sketch);
-      prog.shared_parse = tmpl.parse;
-      prog.shared_deparse = tmpl.deparse;
-      sw->load_program(std::move(prog));
+      sw->load_program(adcp_routing_program(tmpl.adcp, std::move(fib), sketch));
       return sw;
     }
     case SwitchKind::kRtc: {
       auto sw = std::make_unique<rtc::RtcSwitch>(sim, tmpl.rtc, std::move(scope));
-      rtc::RtcProgram prog = rtc_routing_program(tmpl.rtc, std::move(fib), sketch);
-      prog.shared_parse = tmpl.parse;
-      prog.shared_deparse = tmpl.deparse;
-      sw->load_program(std::move(prog));
+      sw->load_program(rtc_routing_program(tmpl.rtc, std::move(fib), sketch));
       return sw;
     }
   }
@@ -254,7 +244,7 @@ std::size_t Network::add_trunk(std::size_t a, packet::PortId a_port, std::size_t
     w.sim = shards_[src].sim;
     w.mailbox = src == dst ? nullptr : &psim_->add_mailbox(src, dst, link.propagation);
     if (link.loss_rate > 0.0) {
-      w.rng = std::make_unique<sim::Rng>(tm::placement::mix(loss_seed_ ^ (2 * i + side)));
+      w.rng = std::make_unique<sim::Rng>(sim::mix64(loss_seed_ ^ (2 * i + side)));
     }
     w.drop_pool = &switches_[from].device->pool();
     sim::Scope scope = shards_[src].topo.scope(name);
@@ -596,7 +586,7 @@ void Network::arm_telemetry() {
       std::vector<telem::IntRecord> hops;
       if (telem::int_decode(pkt, hops) == 0) return;
       const std::uint64_t flow = pkt.meta.flow_id;
-      if (sample > 1 && sim::TraceSampler::mix(flow ^ seed) % sample != 0) return;
+      if (sample > 1 && sim::mix64(flow ^ seed) % sample != 0) return;
       packet::IncPacketSpec spec;
       spec.ip_src = src_ip;
       spec.ip_dst = dst_ip;

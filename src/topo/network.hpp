@@ -51,8 +51,8 @@ struct FabricParams {
   SwitchKind kind = SwitchKind::kAdcp;
   /// How every switch is provisioned: the base model configs plus the
   /// fabric-wide fast-path and telemetry settings. Every switch keeps its
-  /// stage state on first touch and shares its SwitchTemplate's parse
-  /// graph / deparser. Replaces the former raw-config construction paths.
+  /// stage state on first touch and shares its model's parse graph /
+  /// deparser. Replaces the former raw-config construction paths.
   TierProfile profile{};
   /// Every trunk's link; access links are always the lossless net::Link{}
   /// (100 G, 500 ns).

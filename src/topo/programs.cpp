@@ -83,7 +83,7 @@ rmt::RmtProgram rmt_routing_program(const rmt::RmtConfig& /*config*/,
         return 1;
       });
     };
-    prog.fastpath = routing_contract(fib, 0);
+    prog.fastpath = routing_contract(fib, rmt::kRmtParseLanes);
     return prog;
   }
   // PRECISION on RMT (DESIGN.md §14): pass 0 can only touch an entry its

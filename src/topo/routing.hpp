@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "packet/packet.hpp"
-#include "tm/placement.hpp"
+#include "sim/random.hpp"
 
 namespace adcp::topo {
 
@@ -34,9 +34,9 @@ constexpr std::uint32_t make_ip(std::uint32_t pod, std::uint32_t tor, std::uint3
 constexpr std::uint64_t ecmp_hash(std::uint64_t seed, std::uint32_t ip_src,
                                   std::uint32_t ip_dst, std::uint16_t udp_src,
                                   std::uint16_t udp_dst) {
-  std::uint64_t h = tm::placement::mix(seed ^ ip_src);
-  h = tm::placement::mix(h ^ ip_dst);
-  return tm::placement::mix(h ^ (static_cast<std::uint64_t>(udp_src) << 16 | udp_dst));
+  std::uint64_t h = sim::mix64(seed ^ ip_src);
+  h = sim::mix64(h ^ ip_dst);
+  return sim::mix64(h ^ (static_cast<std::uint64_t>(udp_src) << 16 | udp_dst));
 }
 
 /// Next-hop set for one route; lookup() picks one port by flow hash.

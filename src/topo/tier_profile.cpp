@@ -1,5 +1,9 @@
 #include "topo/tier_profile.hpp"
 
+#include "core/program.hpp"
+#include "rmt/program.hpp"
+#include "rtc/rtc_switch.hpp"
+
 namespace adcp::topo {
 
 std::uint32_t TierProfile::rmt_pipelines_for(std::uint32_t ports) {
@@ -38,24 +42,22 @@ SwitchTemplate SwitchTemplate::build(const TierProfile& profile, SwitchKind kind
   SwitchTemplate t;
   t.kind = kind;
   t.port_count = port_count;
-  // Parse-graph lane widths match the per-model program defaults: RMT is
-  // scalar-only (the paper's restriction), ADCP extracts 16-lane arrays,
-  // RTC is unconstrained (64).
+  // The parse graph is the model's default, the one its programs share.
   switch (kind) {
     case SwitchKind::kRmt:
       t.rmt = profile.rmt(port_count);
-      t.parse = std::make_shared<const packet::ParseGraph>(packet::standard_parse_graph(0));
+      t.parse = packet::shared_standard_parse_graph<rmt::kRmtParseLanes>();
       break;
     case SwitchKind::kAdcp:
       t.adcp = profile.adcp(port_count);
-      t.parse = std::make_shared<const packet::ParseGraph>(packet::standard_parse_graph(16));
+      t.parse = packet::shared_standard_parse_graph<core::kAdcpParseLanes>();
       break;
     case SwitchKind::kRtc:
       t.rtc = profile.rtc(port_count);
-      t.parse = std::make_shared<const packet::ParseGraph>(packet::standard_parse_graph(64));
+      t.parse = packet::shared_standard_parse_graph<rtc::kRtcParseLanes>();
       break;
   }
-  t.deparse = std::make_shared<const packet::Deparser>(packet::standard_deparser());
+  t.deparse = packet::shared_standard_deparser();
   return t;
 }
 

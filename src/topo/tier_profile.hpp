@@ -38,7 +38,7 @@ namespace adcp::topo {
 enum class SwitchKind { kRmt, kAdcp, kRtc };
 
 /// How every switch of a fabric tier is provisioned. Every switch keeps
-/// its stage state on first touch and shares its template's parse graph /
+/// its stage state on first touch and shares its model's parse graph /
 /// deparser with the identical switches of the fabric.
 struct TierProfile {
   /// Per-switch flow fast-path verdict cache entries (DESIGN.md §13).
@@ -72,8 +72,8 @@ struct TierProfile {
 
 /// The immutable part of a switch, built once per (kind, port_count) key
 /// and shared across every identical switch of the fabric. The config
-/// member matching `kind` is the resolved one; `parse`/`deparse` are what
-/// the tier routing programs install (shared_ptr into every switch).
+/// member matching `kind` is the resolved one; `parse`/`deparse` are the
+/// model's process-wide standard pair, which its programs install.
 struct SwitchTemplate {
   SwitchKind kind = SwitchKind::kAdcp;
   std::uint32_t port_count = 0;

@@ -3,7 +3,7 @@
 #include <cassert>
 
 #include "packet/headers.hpp"
-#include "tm/placement.hpp"
+#include "sim/random.hpp"
 
 namespace adcp::workload {
 
@@ -27,7 +27,7 @@ ChurnQuery::ChurnQuery(ChurnParams params, topo::Network& net)
     c.ip = net.ip_of(c.host);
     c.flow = params_.flow_base + static_cast<std::uint32_t>(i);
     c.sim = &net.sim_of_host(c.host);
-    c.rng = sim::Rng(tm::placement::mix(params_.seed ^ (0xc42bull + i)));
+    c.rng = sim::Rng(sim::mix64(params_.seed ^ (0xc42bull + i)));
     c.zipf = sim::Zipf(params_.key_space, params_.zipf_skew);
     clients_.push_back(std::move(c));
   }

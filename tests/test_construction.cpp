@@ -4,19 +4,27 @@
 //  * First-touch equivalence — a register file that materializes on first
 //    write reads exactly like a zero-filled vector under every operation:
 //    lazy state must be observationally invisible.
-//  * Template sharing — identical switches in one fabric reference a
-//    single parse graph / deparser, observed through shared_ptr refcounts.
+//  * Graph sharing — every switch that keeps its model's default parse
+//    graph / deparser holds the one process-wide pair, fabric or not.
 //  * Construction budget — a fat_tree(8) build reserves gigabytes of
 //    simulated state but touches (materializes) almost none of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "chassis/chassis.hpp"
 #include "core/adcp_switch.hpp"
+#include "core/programs.hpp"
 #include "mat/register.hpp"
 #include "mat/state_accounting.hpp"
+#include "rmt/programs.hpp"
+#include "rmt/rmt_switch.hpp"
+#include "rtc/programs.hpp"
+#include "rtc/rtc_switch.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "topo/network.hpp"
@@ -129,31 +137,65 @@ TEST(RegisterFileLazy, MatchesZeroedVectorUnderEveryOp) {
 // --- template sharing -----------------------------------------------------
 
 TEST(ConstructionTemplates, IdenticalSwitchesShareOneParseGraph) {
+  // A switch that keeps its model's default parse graph and deparser holds
+  // the process-wide pair for that lane width: standalone switches, fabric
+  // switches and fabric templates all point at the same objects.
+  sim::Simulator solo;
+  rmt::RmtConfig rc;
+  rmt::RmtSwitch rmt_sw(solo, rc);
+  rmt_sw.load_program(rmt::forward_program(rc));
+  core::AdcpConfig ac;
+  core::AdcpSwitch adcp_sw(solo, ac);
+  adcp_sw.load_program(core::forward_program(ac));
+  rtc::RtcConfig tc;
+  rtc::RtcSwitch rtc_sw(solo, tc);
+  rtc_sw.load_program(rtc::forward_program(tc));
+  const std::map<topo::SwitchKind, const chassis::Chassis*> standalone = {
+      {topo::SwitchKind::kRmt, &rmt_sw},
+      {topo::SwitchKind::kAdcp, &adcp_sw},
+      {topo::SwitchKind::kRtc, &rtc_sw}};
+  // Lane widths 0, 16 and 64: three graphs, one deparser.
+  EXPECT_NE(rmt_sw.parse_graph().get(), adcp_sw.parse_graph().get());
+  EXPECT_NE(adcp_sw.parse_graph().get(), rtc_sw.parse_graph().get());
+  EXPECT_EQ(rmt_sw.deparser().get(), adcp_sw.deparser().get());
+  EXPECT_EQ(adcp_sw.deparser().get(), rtc_sw.deparser().get());
+
+  for (const auto& [kind, own] : standalone) {
+    sim::Simulator sim;
+    topo::LeafSpineParams p;
+    p.leaves = 2;
+    p.spines = 2;
+    p.hosts_per_leaf = 4;
+    p.kind = kind;
+    topo::Network net(sim, p);
+    const auto leaf_tmpl = net.template_of(kind, 6);
+    ASSERT_NE(leaf_tmpl, nullptr);
+    EXPECT_EQ(leaf_tmpl->parse.get(), own->parse_graph().get()) << static_cast<int>(kind);
+    EXPECT_EQ(leaf_tmpl->deparse.get(), own->deparser().get()) << static_cast<int>(kind);
+    for (std::size_t i = 0; i < net.switch_count(); ++i) {
+      const auto& sw = dynamic_cast<const chassis::Chassis&>(net.device(i));
+      EXPECT_EQ(sw.parse_graph().get(), own->parse_graph().get()) << "switch " << i;
+      EXPECT_EQ(sw.deparser().get(), own->deparser().get()) << "switch " << i;
+    }
+  }
+}
+
+TEST(ConstructionTemplates, ProgramWithItsOwnGraphKeepsIt) {
+  // The scalar aggregation program unrolls its INC elements into its own
+  // parse graph and deparser; the switch installs those, not the defaults.
   sim::Simulator sim;
-  topo::LeafSpineParams p;
-  p.leaves = 2;
-  p.spines = 2;
-  p.hosts_per_leaf = 4;
-  topo::Network net(sim, p);
-
-  // Two shapes: leaves (4 hosts + 2 uplinks = 6 ports) and spines (2
-  // ports). 4 switches over 2 templates = 2 builds + 2 cache hits.
-  EXPECT_EQ(net.construction().templates_built, 2u);
-  EXPECT_EQ(net.construction().templates_shared, 2u);
-
-  const auto leaf_tmpl = net.template_of(topo::SwitchKind::kAdcp, 6);
-  ASSERT_NE(leaf_tmpl, nullptr);
-  // The template holds one ref, each of the two leaves holds one.
-  EXPECT_EQ(leaf_tmpl->parse.use_count(), 3);
-  EXPECT_EQ(leaf_tmpl->deparse.use_count(), 3);
-
-  auto* leaf0 = dynamic_cast<core::AdcpSwitch*>(&net.device(0));
-  auto* leaf1 = dynamic_cast<core::AdcpSwitch*>(&net.device(1));
-  ASSERT_NE(leaf0, nullptr);
-  ASSERT_NE(leaf1, nullptr);
-  EXPECT_EQ(leaf0->parse_graph().get(), leaf1->parse_graph().get());
-  EXPECT_EQ(leaf0->parse_graph().get(), leaf_tmpl->parse.get());
-  EXPECT_EQ(leaf0->deparser().get(), leaf_tmpl->deparse.get());
+  rmt::RmtConfig cfg;
+  rmt::RmtAggOptions agg;
+  agg.report = std::make_shared<rmt::RmtAggReport>();
+  rmt::RmtProgram prog = rmt::scalar_aggregation_program(cfg, agg);
+  const packet::ParseGraph* graph = prog.shared_parse.get();
+  const packet::Deparser* deparser = prog.shared_deparse.get();
+  rmt::RmtSwitch sw(sim, cfg);
+  sw.load_program(std::move(prog));
+  EXPECT_EQ(sw.parse_graph().get(), graph);
+  EXPECT_EQ(sw.deparser().get(), deparser);
+  EXPECT_NE(graph, packet::shared_standard_parse_graph<rmt::kRmtParseLanes>().get());
+  EXPECT_NE(deparser, packet::shared_standard_deparser().get());
 }
 
 TEST(ConstructionTemplates, SharingWorksAcrossKinds) {

@@ -64,7 +64,7 @@ TEST(FailureInjection, ElementCountBeyondLaneBudgetRejected) {
   cfg.port_count = 4;
   core::AdcpSwitch sw(sim, cfg);
   core::AdcpProgram prog = core::forward_program(cfg);
-  prog.parse = packet::standard_parse_graph(8);  // 8-lane parser
+  prog.shared_parse = packet::shared_standard_parse_graph<8>();  // 8-lane parser
   sw.load_program(std::move(prog));
   net::Fabric fabric(sim, sw, net::Link{100.0, 100 * sim::kNanosecond});
 
