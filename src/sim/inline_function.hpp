@@ -97,11 +97,6 @@ class InlineFunction<R(Args...), InlineBytes> {
     }
   }
 
-  /// True when the callable lives in the inline buffer (diagnostics/tests).
-  [[nodiscard]] bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
-
-  static constexpr std::size_t inline_capacity() { return InlineBytes; }
-
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
@@ -112,7 +107,6 @@ class InlineFunction<R(Args...), InlineBytes> {
     void (*relocate)(void* dst, void* src) noexcept;
     /// nullptr means trivially destructible (reset() skips the call).
     void (*destroy)(void*) noexcept;
-    bool inline_storage;
   };
 
   template <typename D>
@@ -135,8 +129,7 @@ class InlineFunction<R(Args...), InlineBytes> {
               },
         std::is_trivially_destructible_v<D>
             ? nullptr
-            : +[](void* s) noexcept { std::launder(static_cast<D*>(s))->~D(); },
-        true};
+            : +[](void* s) noexcept { std::launder(static_cast<D*>(s))->~D(); }};
     return &ops;
   }
 
@@ -147,8 +140,7 @@ class InlineFunction<R(Args...), InlineBytes> {
           return (**std::launder(static_cast<D**>(s)))(std::forward<Args>(args)...);
         },
         nullptr,  // the stored D* relocates by memcpy
-        [](void* s) noexcept { delete *std::launder(static_cast<D**>(s)); },
-        false};
+        [](void* s) noexcept { delete *std::launder(static_cast<D**>(s)); }};
     return &ops;
   }
 

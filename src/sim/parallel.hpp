@@ -193,7 +193,6 @@ class ParallelSimulator {
   /// shard clocks). After run() this equals the monolithic final now().
   [[nodiscard]] Time now() const;
 
-  [[nodiscard]] std::uint64_t executed() const { return executed_; }
   /// Minimum declared mailbox latency — the tightest lookahead any single
   /// channel contributes (horizons advance at least this much per round).
   [[nodiscard]] Time lookahead() const { return lookahead_; }

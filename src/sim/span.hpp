@@ -182,7 +182,6 @@ class SpanBuffer {
     ring_.assign(capacity, Span{});
   }
 
-  void disable() { enable(0); }
   [[nodiscard]] bool enabled() const { return capacity_ != 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 

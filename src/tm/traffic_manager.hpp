@@ -90,9 +90,6 @@ class TrafficManager {
   /// has nothing releasable (empty, or a strict merge is waiting).
   std::optional<packet::Packet> dequeue(std::uint32_t output);
 
-  [[nodiscard]] bool output_empty(std::uint32_t output) const {
-    return schedulers_.at(output)->empty();
-  }
   [[nodiscard]] std::size_t output_packets(std::uint32_t output) const {
     return schedulers_.at(output)->packets();
   }

@@ -82,8 +82,6 @@ class ForwardingTable {
                                              std::uint64_t& flow_hash) const;
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] std::size_t exact_size() const { return exact_.size(); }
-  [[nodiscard]] std::size_t prefix_size() const { return prefixes_.size(); }
 
   /// Bumped by every route mutation; the datapath fast path invalidates
   /// cached verdicts when this moves.

@@ -108,7 +108,6 @@ class RackAllReduce {
   /// Registers the reduce coflow and schedules every worker's sends.
   void start(sim::Time when = 0);
 
-  [[nodiscard]] std::uint64_t reduce_received() const { return reduce_received_; }
   [[nodiscard]] std::uint64_t broadcast_received() const {
     return bcast_received_.load(std::memory_order_relaxed);
   }
