@@ -104,6 +104,12 @@ int main() {
       "completion barely changes — the classic Varys result, reproduced on the\n"
       "coflow-processor fabric.\n",
       sebf.avg_cct_us > 0 ? fifo.avg_cct_us / sebf.avg_cct_us : 0.0);
-  bench::write_report(report, "coflow_scheduling");
-  return 0;
+  // The headline: SEBF's average CCT is below FIFO's and its maximum is
+  // not above FIFO's, at the printed values.
+  bool ok = bench::reads("FIFO avg CCT (us)", "%.1f", fifo.avg_cct_us, "3.7");
+  ok &= bench::reads("FIFO max CCT (us)", "%.1f", fifo.max_cct_us, "5.8");
+  ok &= bench::reads("SEBF avg CCT (us)", "%.1f", sebf.avg_cct_us, "2.2");
+  ok &= bench::reads("SEBF max CCT (us)", "%.1f", sebf.max_cct_us, "5.2");
+  const bool wrote = bench::write_report(report, "coflow_scheduling");
+  return ok && wrote ? 0 : 1;
 }

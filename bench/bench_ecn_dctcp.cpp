@@ -103,7 +103,15 @@ int main() {
               "peak buf (KB)", "drops", "marks", "makespan(us)", "complete");
   sim::MetricRegistry report;
   double dctcp8_makespan_us = 0.0;
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
+  // The headline: every row completes with 0 drops, DCTCP's peak buffer
+  // sits far below blind's at every incast degree, and DCTCP's makespan is
+  // at most 1.03x blind's.
+  const std::uint32_t incasts[] = {2, 4, 8};
+  const char* want_peak_kb[][2] = {{"20.8", "4.1"}, {"53.6", "8.3"}, {"102.5", "28.2"}};
+  bool ok = true;
+  for (std::size_t i = 0; i < std::size(incasts); ++i) {
+    const std::uint32_t n = incasts[i];
+    double blind_makespan_us = 0.0;
     for (const bool react : {false, true}) {
       const Outcome o = run(n, react);
       std::printf("%-8s %-10u %-16.1f %-10llu %-10llu %-14.1f %-10s\n",
@@ -119,6 +127,20 @@ int main() {
       row.gauge("ecn_marks").set(static_cast<double>(o.marks));
       row.gauge("makespan_us").set(o.makespan_us);
       if (react && n == 8) dctcp8_makespan_us = o.makespan_us;
+
+      const std::string name =
+          std::string(react ? "DCTCP" : "blind") + " " + std::to_string(n) + " senders";
+      ok &= bench::reads((name + " complete").c_str(), "%.0f", o.all_complete ? 1.0 : 0.0, "1");
+      ok &= bench::reads((name + " drops").c_str(), "%.0f", static_cast<double>(o.drops), "0");
+      ok &= bench::reads((name + " peak buffer (KB)").c_str(), "%.1f",
+                         static_cast<double>(o.peak_buffer) / 1024.0,
+                         want_peak_kb[i][react ? 1 : 0]);
+      if (react) {
+        ok &= bench::within((name + " makespan (us)").c_str(), o.makespan_us, 0.0,
+                            1.03 * blind_makespan_us);
+      } else {
+        blind_makespan_us = o.makespan_us;
+      }
     }
   }
 
@@ -133,5 +155,5 @@ int main() {
       "small makespan cost — the marking signal the TM produces is sufficient\n"
       "for end-host congestion control, with no switch drops needed.\n");
   const bool wrote = bench::write_report(report, "ecn_dctcp");
-  return traced && wrote ? 0 : 1;
+  return ok && traced && wrote ? 0 : 1;
 }

@@ -152,16 +152,46 @@ int main() {
   std::printf("%-22s %-10s %-12s %-14s %-12s\n", "strategy", "legal?", "reached",
               "recirc bytes", "makespan(us)");
   sim::MetricRegistry report;
-  print_row(run_rmt(rmt::RmtAggMode::kSamePipe, "RMT same-pipe"), report, "rmt_same_pipe");
-  print_row(run_rmt(rmt::RmtAggMode::kEgressLocal, "RMT egress-local"), report,
-            "rmt_egress_local");
-  print_row(run_rmt(rmt::RmtAggMode::kRecirculate, "RMT recirculation"), report,
-            "rmt_recirculate");
-  print_row(run_adcp(), report, "adcp_global_area");
+  const Row rows[] = {
+      run_rmt(rmt::RmtAggMode::kSamePipe, "RMT same-pipe"),
+      run_rmt(rmt::RmtAggMode::kEgressLocal, "RMT egress-local"),
+      run_rmt(rmt::RmtAggMode::kRecirculate, "RMT recirculation"),
+      run_adcp(),
+  };
+  const char* slugs[] = {"rmt_same_pipe", "rmt_egress_local", "rmt_recirculate",
+                         "adcp_global_area"};
+  for (std::size_t i = 0; i < std::size(rows); ++i) print_row(rows[i], report, slugs[i]);
   std::printf(
       "\nExpected shape: same-pipe illegal for cross-pipe coflows; egress-local\n"
       "reaches only the agg port's host; recirculation reaches everyone but pays\n"
       "one extra pass per update; the ADCP global area reaches everyone for free.\n");
-  bench::write_report(report, "fig5_global_area");
-  return 0;
+
+  // The headline, row by row: legal, workers reached, recirculated bytes
+  // and makespan (0.0 is the table's "never").
+  struct Want {
+    const char* legal;
+    const char* reached;
+    const char* recirc;
+    const char* makespan;
+  };
+  const Want want[] = {
+      {"0", "0", "0", "0.0"},
+      {"1", "1", "0", "0.0"},
+      {"1", "8", "31232", "3.0"},
+      {"1", "8", "0", "0.8"},
+  };
+  bool ok = true;
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const Row& r = rows[i];
+    const std::string name = r.name;
+    ok &= bench::reads((name + " legal").c_str(), "%.0f", r.legal ? 1.0 : 0.0, want[i].legal);
+    ok &= bench::reads((name + " workers reached").c_str(), "%.0f", r.workers_reached,
+                       want[i].reached);
+    ok &= bench::reads((name + " recirc bytes").c_str(), "%.0f",
+                       static_cast<double>(r.recirc_bytes), want[i].recirc);
+    ok &= bench::reads((name + " makespan (us)").c_str(), "%.1f", r.makespan_us,
+                       want[i].makespan);
+  }
+  const bool wrote = bench::write_report(report, "fig5_global_area");
+  return ok && wrote ? 0 : 1;
 }
