@@ -1,14 +1,15 @@
 #include "net/host.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <optional>
 #include <utility>
 
 namespace adcp::net {
 
 sim::Time Host::send(packet::Packet pkt, sim::Time earliest) {
-  const sim::Time start = std::max({sim_->now(), nic_free_, earliest});
-  nic_free_ = start + link_.serialize(pkt.size());
+  const sim::Time start = std::max({up_.sim->now(), nic_free_, earliest});
+  nic_free_ = start + up_.link.serialize(pkt.size());
   metrics_.tx_packets.add();
   metrics_.tx_bytes.add(pkt.size());
   pkt.meta.ingress_port = port_;
@@ -17,19 +18,9 @@ sim::Time Host::send(packet::Packet pkt, sim::Time earliest) {
 
   // The switch sees the first bit after propagation — unless the link
   // lottery eats the packet.
-  const sim::Time arrival = start + link_.propagation;
-  if (rng_ != nullptr && link_.loss_rate > 0.0 && rng_->chance(link_.loss_rate)) {
-    metrics_.link_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, arrival,
-                   static_cast<std::uint64_t>(sim::DropReason::kLink));
-    if (pool_ != nullptr) pool_->release(std::move(pkt));
-    return arrival;
-  }
-  if (uplink_) {
-    uplink_(arrival, std::move(pkt));
-    return arrival;
-  }
-  sim_->at(arrival, [this, pkt = std::move(pkt)]() mutable {
+  const sim::Time arrival = start + up_.link.propagation;
+  if (up_.lost(pkt, arrival)) return arrival;
+  up_.deliver(arrival, [this, pkt = std::move(pkt)]() mutable {
     device_->inject(port_, std::move(pkt));
   });
   return arrival;
@@ -48,34 +39,33 @@ sim::Time Host::send_inc(const packet::IncPacketSpec& spec, sim::Time earliest) 
 }
 
 void Host::deliver_from_switch(packet::Packet pkt) {
-  if (downlink_) {
-    // Sharded fabric: the caller is on the switch's shard, and the access
-    // link is lossless. The downlink owner mails finish_rx to this host's
-    // shard — nothing of the Host may be touched here.
-    downlink_(std::move(pkt));
-    return;
-  }
-  if (rng_ != nullptr && link_.loss_rate > 0.0 && rng_->chance(link_.loss_rate)) {
-    metrics_.link_drops.add();
-    spans_.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sim_->now(),
-                   static_cast<std::uint64_t>(sim::DropReason::kLink));
-    if (pool_ != nullptr) pool_->release(std::move(pkt));
-    return;
-  }
+  // Runs on the switch's simulator. Across a PDES cut the downlink is
+  // lossless, so no host state is written before finish_rx runs on the
+  // host's own shard.
+  const sim::Time now = down_.sim->now();
+  if (down_.lost(pkt, now)) return;
   // Span begin rides in the packet, so the capture below stays [this, pkt]:
   // 96 of the 120 inline callback bytes.
-  pkt.meta.trace_mark = sim_->now();
-  sim_->after(link_.propagation, [this, pkt = std::move(pkt)]() mutable {
+  pkt.meta.trace_mark = now;
+  down_.deliver(now + down_.link.propagation, [this, pkt = std::move(pkt)]() mutable {
     finish_rx(std::move(pkt));
   });
 }
 
+void Host::cut(sim::Mailbox& up, sim::Simulator& switch_sim, sim::Mailbox& down) {
+  assert(up_.link.loss_rate == 0.0 && "a cut access link must be lossless");
+  up_.mailbox = &up;
+  down_.sim = &switch_sim;
+  down_.mailbox = &down;
+}
+
 void Host::finish_rx(packet::Packet pkt) {
+  const sim::Time now = up_.sim->now();
   metrics_.rx_packets.add();
   metrics_.rx_bytes.add(pkt.size());
-  last_rx_ = sim_->now();
-  spans_.span(sim::SpanKind::kHostRx, pkt.meta.trace_id, pkt.meta.trace_mark,
-              sim_->now(), port_, pkt.size());
+  last_rx_ = now;
+  spans_.span(sim::SpanKind::kHostRx, pkt.meta.trace_id, pkt.meta.trace_mark, now, port_,
+              pkt.size());
   if (pkt.size() > packet::kEthernetBytes + 1 &&
       pkt.data.read(12, 2) == packet::kEtherTypeIpv4 &&
       (pkt.data.read(packet::kEthernetBytes + 1, 1) & 0x3) == 0x3) {
@@ -92,10 +82,10 @@ void Host::finish_rx(packet::Packet pkt) {
       highest = inc.seq;
     }
     if (tracker_ != nullptr) {
-      tracker_->deliver(inc.coflow_id, inc.flow_id, pkt.size(), sim_->now());
+      tracker_->deliver(inc.coflow_id, inc.flow_id, pkt.size(), now);
     }
   } else if (tracker_ != nullptr && pkt.meta.coflow_id != 0) {
-    tracker_->deliver(pkt.meta.coflow_id, pkt.meta.flow_id, pkt.size(), sim_->now());
+    tracker_->deliver(pkt.meta.coflow_id, pkt.meta.flow_id, pkt.size(), now);
   }
 
   for (const RxCallback& cb : rx_callbacks_) cb(*this, pkt);

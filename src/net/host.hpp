@@ -11,9 +11,11 @@
 #include "coflow/tracker.hpp"
 #include "net/device.hpp"
 #include "net/link.hpp"
+#include "net/wire.hpp"
 #include "packet/headers.hpp"
 #include "packet/pool.hpp"
 #include "sim/metrics.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -49,22 +51,22 @@ class Host {
  public:
   /// Optional application hook invoked on every received packet.
   using RxCallback = std::function<void(Host&, const packet::Packet&)>;
-  /// Transport hook for sharded fabrics: carries a paced packet towards the
-  /// switch (first-bit arrival time, packet). See set_uplink().
-  using UplinkFn = std::function<void(sim::Time, packet::Packet)>;
-  /// Transport hook for sharded fabrics: takes over switch->host delivery.
-  using DownlinkFn = std::function<void(packet::Packet)>;
 
-  /// `pool`, when given, recycles delivered/lost packets and feeds
-  /// send_inc(), making steady-state host traffic allocation-free.
-  /// `scope` names this host in a shared MetricRegistry (the Fabric passes
-  /// "net.host<i>"); detached falls back to a private registry.
+  /// `rng` is the loss stream both directions of the link draw from when
+  /// the link is lossy. `pool`, when given, recycles delivered/lost packets
+  /// and feeds send_inc(), making steady-state host traffic
+  /// allocation-free. `scope` names this host in a shared MetricRegistry
+  /// (the Fabric passes "net.host<i>"); detached falls back to a private
+  /// registry.
   Host(coflow::HostId id, packet::PortId port, Link link, sim::Simulator& sim,
        SwitchDevice& device, sim::Rng* rng = nullptr, packet::Pool* pool = nullptr,
        sim::Scope scope = {})
-      : id_(id), port_(port), link_(link), sim_(&sim), device_(&device), rng_(rng),
-        pool_(pool), scope_(sim::resolve_scope(scope, own_metrics_, "host")),
-        metrics_(scope_), spans_(scope_.span_recorder()) {}
+      : id_(id), port_(port), device_(&device), pool_(pool),
+        scope_(sim::resolve_scope(scope, own_metrics_, "host")), metrics_(scope_),
+        spans_(scope_.span_recorder()),
+        up_{.link = link, .sim = &sim, .rng = rng, .drops = &metrics_.link_drops,
+            .spans = spans_, .drop_pool = pool},
+        down_{up_} {}
 
   /// Queues `pkt` for transmission no earlier than `earliest`; the NIC
   /// serializes packets back to back at the link rate. Returns the time the
@@ -74,25 +76,16 @@ class Host {
   /// Convenience: builds an INC packet from `spec` and sends it.
   sim::Time send_inc(const packet::IncPacketSpec& spec, sim::Time earliest = 0);
 
-  /// Called by the fabric when the switch finished transmitting to us;
-  /// accounts the packet after propagation delay. With a downlink hook
-  /// installed the packet is handed to it untouched instead, skipping the
-  /// downlink loss lottery (the hook's owner schedules finish_rx on this
-  /// host's shard; this call may then run on the switch's thread).
+  /// Called by the fabric when the switch finished transmitting to us, on
+  /// the switch's simulator: draws the downlink's loss lottery and accounts
+  /// the packet on this host's own simulator one propagation delay later.
   void deliver_from_switch(packet::Packet pkt);
 
-  /// Receive-side accounting, run at delivery time on this host's own
-  /// simulator (the propagation-delayed tail of deliver_from_switch; the
-  /// span begin rides in pkt.meta.trace_mark). Public so a sharded
-  /// fabric's downlink mailbox can invoke it directly.
-  void finish_rx(packet::Packet pkt);
-
-  /// Reroutes send() handoff: instead of scheduling the switch inject on
-  /// this host's simulator, paced packets go to `fn` (which pushes them
-  /// into a cross-shard mailbox). Pass nullptr to restore direct inject.
-  void set_uplink(UplinkFn fn) { uplink_ = std::move(fn); }
-  /// Reroutes deliver_from_switch() to `fn` (see deliver_from_switch).
-  void set_downlink(DownlinkFn fn) { downlink_ = std::move(fn); }
+  /// Puts a PDES cut across the access link: the uplink delivers through
+  /// `up` (this host's shard -> the switch's), and the downlink runs on
+  /// `switch_sim` and delivers through `down`. The link must be lossless,
+  /// since its loss stream lives on this host's shard.
+  void cut(sim::Mailbox& up, sim::Simulator& switch_sim, sim::Mailbox& down);
 
   /// Clears per-run transient state (NIC pacing horizon, last-RX time and
   /// the per-flow highest-sequence map) so repeated runs inside one process
@@ -121,7 +114,7 @@ class Host {
 
   [[nodiscard]] coflow::HostId id() const { return id_; }
   [[nodiscard]] packet::PortId port() const { return port_; }
-  [[nodiscard]] const Link& link() const { return link_; }
+  [[nodiscard]] const Link& link() const { return up_.link; }
 
   [[nodiscard]] std::uint64_t rx_packets() const { return metrics_.rx_packets.value(); }
   [[nodiscard]] std::uint64_t rx_bytes() const { return metrics_.rx_bytes.value(); }
@@ -142,17 +135,17 @@ class Host {
   [[nodiscard]] sim::Time last_rx_time() const { return last_rx_; }
 
  private:
+  /// Receive-side accounting, run at delivery time on this host's own
+  /// simulator (the propagation-delayed tail of deliver_from_switch; the
+  /// span begin rides in pkt.meta.trace_mark).
+  void finish_rx(packet::Packet pkt);
+
   coflow::HostId id_;
   packet::PortId port_;
-  Link link_;
-  sim::Simulator* sim_;
   SwitchDevice* device_;
-  sim::Rng* rng_;  // not owned; shared by the fabric (null = lossless)
   packet::Pool* pool_ = nullptr;  // not owned; shared by the fabric
   std::vector<RxCallback> rx_callbacks_;
   coflow::CoflowTracker* tracker_ = nullptr;
-  UplinkFn uplink_;      // sharded fabrics: host shard -> switch shard
-  DownlinkFn downlink_;  // sharded fabrics: switch shard -> host shard
 
   sim::Time nic_free_ = 0;
   // Declared before scope_/metrics_ (fallback registry must exist first).
@@ -160,6 +153,10 @@ class Host {
   sim::Scope scope_;
   HostMetrics metrics_;
   sim::SpanRecorder spans_;
+  // Declared after metrics_/spans_, which their initializers read. up_.sim
+  // is this host's own simulator in every build.
+  Wire up_;    // host -> switch
+  Wire down_;  // switch -> host
   const sim::TraceSampler* sampler_ = nullptr;  // not owned; null = no stamping
   sim::Time last_rx_ = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> highest_seq_;  // flow -> seq

@@ -216,7 +216,8 @@ Network::SwitchSlot& Network::add_switch(SwitchKind kind, std::uint32_t port_cou
   slot.device = make_switch(*sw_shard.sim, tmpl, fib, sw_shard.topo.scope(name), sketch);
   // The fabric (hosts + pool) lives on the host shard; its TX dispatch
   // closure still runs on the switch shard but only routes — per-host
-  // state is reached through the mailbox taps wired in finish_wiring().
+  // state is reached through the access-link wires that finish_wiring()
+  // cuts.
   // Access links are lossless, so the fabric's loss stream never draws.
   slot.fabric = std::make_unique<net::Fabric>(*host_shard.sim, *slot.device, net::Link{},
                                               /*seed=*/0, host_shard.topo.scope(name),
@@ -234,24 +235,25 @@ std::size_t Network::add_trunk(std::size_t a, packet::PortId a_port, std::size_t
                                  std::size_t to, packet::PortId to_port) {
     const std::size_t src = switch_shard_[from];
     const std::size_t dst = switch_shard_[to];
-    Wire& w = wires_.emplace_back();
-    w.from = from;
-    w.from_port = from_port;
-    w.to = switches_[to].device.get();
-    w.to_port = to_port;
-    w.side = side;
-    w.link = link;
-    w.sim = shards_[src].sim;
-    w.mailbox = src == dst ? nullptr : &psim_->add_mailbox(src, dst, link.propagation);
-    if (link.loss_rate > 0.0) {
-      w.rng = std::make_unique<sim::Rng>(sim::mix64(loss_seed_ ^ (2 * i + side)));
-    }
-    w.drop_pool = &switches_[from].device->pool();
+    Direction& d = directions_.emplace_back();
+    d.from = from;
+    d.from_port = from_port;
+    d.to = switches_[to].device.get();
+    d.to_port = to_port;
+    d.side = side;
     sim::Scope scope = shards_[src].topo.scope(name);
-    w.packets = &scope.counter(side == 0 ? "ab.packets" : "ba.packets");
-    w.bytes = &scope.counter(side == 0 ? "ab.bytes" : "ba.bytes");
-    w.drops = &scope.counter("drops.link");
-    w.spans = scope.span_recorder();
+    d.packets = &scope.counter(side == 0 ? "ab.packets" : "ba.packets");
+    d.bytes = &scope.counter(side == 0 ? "ab.bytes" : "ba.bytes");
+    if (link.loss_rate > 0.0) {
+      d.loss = std::make_unique<sim::Rng>(sim::mix64(loss_seed_ ^ (2 * i + side)));
+    }
+    d.wire = {.link = link,
+              .sim = shards_[src].sim,
+              .mailbox = src == dst ? nullptr : &psim_->add_mailbox(src, dst, link.propagation),
+              .rng = d.loss.get(),
+              .drops = &scope.counter("drops.link"),
+              .spans = scope.span_recorder(),
+              .drop_pool = &switches_[from].device->pool()};
   };
   // Mailbox ids follow trunk creation order, a-side first, so the
   // barrier's (time, mailbox, seq) injection order is (time, trunk,
@@ -261,37 +263,15 @@ std::size_t Network::add_trunk(std::size_t a, packet::PortId a_port, std::size_t
   return i;
 }
 
-void Network::Wire::forward(packet::Packet pkt) {
+void Network::Direction::forward(packet::Packet pkt) {
   packets->add();
   bytes->add(pkt.size());
-  if (rng != nullptr && rng->chance(link.loss_rate)) {
-    drops->add();
-    spans.instant(sim::SpanKind::kDrop, pkt.meta.trace_id, sim->now(),
-                  static_cast<std::uint64_t>(sim::DropReason::kLink));
-    drop_pool->release(std::move(pkt));
-    return;
-  }
-  const sim::Time arrival = sim->now() + link.propagation;
-  spans.span(sim::SpanKind::kTrunk, pkt.meta.trace_id, sim->now(), arrival, side, pkt.size());
-  auto deliver = [w = this, pkt = std::move(pkt)]() mutable {
-    w->to->inject(w->to_port, std::move(pkt));
-  };
-  if (mailbox != nullptr) {
-    mailbox->push(arrival, std::move(deliver));
-  } else {
-    sim->at(arrival, std::move(deliver));
-  }
-}
-
-void Network::HostTap::deliver(packet::Packet pkt) {
-  // Runs on the switch shard (the device's TX completion), as the tail of
-  // Host::deliver_from_switch does on one shard. The span begin rides in
-  // the packet, so the capture stays [h, pkt]: 96 of the 120 inline
-  // callback bytes.
-  pkt.meta.trace_mark = sw_sim->now();
-  net::Host* h = host;
-  down->push(sw_sim->now() + propagation, [h, pkt = std::move(pkt)]() mutable {
-    h->finish_rx(std::move(pkt));
+  const sim::Time now = wire.sim->now();
+  if (wire.lost(pkt, now)) return;
+  const sim::Time arrival = now + wire.link.propagation;
+  wire.spans.span(sim::SpanKind::kTrunk, pkt.meta.trace_id, now, arrival, side, pkt.size());
+  wire.deliver(arrival, [d = this, pkt = std::move(pkt)]() mutable {
+    d->to->inject(d->to_port, std::move(pkt));
   });
 }
 
@@ -438,12 +418,12 @@ void Network::finish_wiring() {
   // closures capture pointers into them (set_control_sink fills the slots
   // later, after ctrl:: attaches).
   ctrl_sinks_.resize(switches_.size());
-  // Each switch's port -> outgoing wire map, bucketed in one pass.
-  std::vector<std::vector<Wire*>> tx_wires(switches_.size());
+  // Each switch's port -> outgoing trunk direction map, bucketed in one pass.
+  std::vector<std::vector<Direction*>> tx_dirs(switches_.size());
   for (std::size_t i = 0; i < switches_.size(); ++i) {
-    tx_wires[i].assign(switches_[i].device->port_count(), nullptr);
+    tx_dirs[i].assign(switches_[i].device->port_count(), nullptr);
   }
-  for (Wire& w : wires_) tx_wires[w.from][w.from_port] = &w;
+  for (Direction& d : directions_) tx_dirs[d.from][d.from_port] = &d;
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     SwitchSlot& slot = switches_[i];
     // Management-port TX runs on the switch's shard, so a sink stages
@@ -451,11 +431,11 @@ void Network::finish_wiring() {
     // The packet is dropped on the floor after the sink: with split hosts
     // the fabric pool lives on the host shard, and pools are an allocation
     // optimization, not an accounting surface. Every other hostless port
-    // transmits onto its trunk wire.
+    // transmits onto its trunk direction.
     const packet::PortId mgmt = mgmt_port_[i];
     std::function<void(const packet::Packet&)>* sink =
         mgmt != packet::kInvalidPort ? &ctrl_sinks_[i] : nullptr;
-    slot.fabric->set_default_tx([map = std::move(tx_wires[i]), mgmt, sink](
+    slot.fabric->set_default_tx([map = std::move(tx_dirs[i]), mgmt, sink](
                                     packet::PortId port, packet::Packet pkt) {
       if (port == mgmt && sink != nullptr) {
         if (*sink) (*sink)(pkt);
@@ -465,34 +445,17 @@ void Network::finish_wiring() {
     });
   }
 
-  // Split hosts: install the cross-shard taps. Every switch whose hosts
-  // live on another shard gets one mailbox pair (up: host shard -> switch
-  // shard, down: the reverse) whose conservative latency is the access
-  // link's propagation delay; the per-host taps share them.
+  // Split hosts: cut their access links. Every switch whose hosts live on
+  // another shard gets one mailbox pair (up: host shard -> switch shard,
+  // down: the reverse) whose conservative latency is the access link's
+  // propagation delay; its hosts' wires share them.
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     if (host_shard_[i] == switch_shard_[i]) continue;
     std::vector<net::Host>& hosts = switches_[i].fabric->hosts();
     const sim::Time propagation = hosts.front().link().propagation;
     sim::Mailbox& up = psim_->add_mailbox(host_shard_[i], switch_shard_[i], propagation);
     sim::Mailbox& down = psim_->add_mailbox(switch_shard_[i], host_shard_[i], propagation);
-    for (net::Host& h : hosts) {
-      auto tap = std::make_unique<HostTap>();
-      tap->host = &h;
-      tap->device = switches_[i].device.get();
-      tap->port = h.port();
-      tap->propagation = propagation;
-      tap->sw_sim = shards_[switch_shard_[i]].sim;
-      tap->up = &up;
-      tap->down = &down;
-      HostTap* t = tap.get();
-      h.set_uplink([t](sim::Time at, packet::Packet pkt) {
-        t->up->push(at, [t, pkt = std::move(pkt)]() mutable {
-          t->device->inject(t->port, std::move(pkt));
-        });
-      });
-      h.set_downlink([t](packet::Packet pkt) { t->deliver(std::move(pkt)); });
-      taps_.push_back(std::move(tap));
-    }
+    for (net::Host& h : hosts) h.cut(up, *shards_[switch_shard_[i]].sim, down);
   }
 
   // Hop-count probe: the routing programs decrement the wire TTL once per
@@ -521,7 +484,7 @@ void Network::finish_wiring() {
   // only, never results.
   if (psim_ != nullptr) {
     std::vector<std::size_t> degree(switches_.size(), 0);
-    for (const Wire& dir : wires_) ++degree[dir.from];
+    for (const Direction& d : directions_) ++degree[d.from];
     std::vector<double> w(shards_.size(), 1.0);
     for (std::size_t i = 0; i < switches_.size(); ++i) {
       w[switch_shard_[i]] = 1.0 + 0.25 * static_cast<double>(degree[i]);
@@ -661,8 +624,8 @@ std::uint64_t Network::total_host_link_drops() const {
 std::uint64_t Network::total_trunk_drops() const {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < trunk_count(); ++i) {
-    const Wire& ab = wire(i, 0);
-    const Wire& ba = wire(i, 1);
+    const net::Wire& ab = direction(i, 0).wire;
+    const net::Wire& ba = direction(i, 1).wire;
     // On one shard both directions count into the same "drops.link".
     total += ab.drops->value() + (ba.drops != ab.drops ? ba.drops->value() : 0);
   }
@@ -672,15 +635,15 @@ std::uint64_t Network::total_trunk_drops() const {
 void Network::finalize_metrics() {
   sim::Time elapsed = 0;  // the latest shard clock
   for (const Shard& shard : shards_) elapsed = std::max(elapsed, shard.sim->now());
-  const auto utilization = [elapsed](const Wire& w) {
-    if (elapsed == 0 || w.link.gbps <= 0.0) return 0.0;
-    const double bits = static_cast<double>(w.bytes->value()) * 8.0;
-    return bits * 1000.0 / (w.link.gbps * static_cast<double>(elapsed));
+  const auto utilization = [elapsed](const Direction& d) {
+    if (elapsed == 0 || d.wire.link.gbps <= 0.0) return 0.0;
+    const double bits = static_cast<double>(d.bytes->value()) * 8.0;
+    return bits * 1000.0 / (d.wire.link.gbps * static_cast<double>(elapsed));
   };
   double max_util = 0.0;
   for (std::size_t i = 0; i < trunk_count(); ++i) {
-    const double ab = utilization(wire(i, 0));
-    const double ba = utilization(wire(i, 1));
+    const double ab = utilization(direction(i, 0));
+    const double ba = utilization(direction(i, 1));
     sim::Scope ts = scope_.scope("trunk" + std::to_string(i));
     ts.gauge("ab.utilization").set(ab);
     ts.gauge("ba.utilization").set(ba);
